@@ -52,7 +52,6 @@ from .terms import (
     ParseError,
     Product,
     Term,
-    TermFunction,
     Var,
     clone_closure,
     evaluate,

@@ -18,13 +18,13 @@ from .geometry import (
     EquationSystem,
     PointSet,
     Unknown,
-    closure,
     ed_verdict,
     format_certificate,
+    is_algebraic,
+    point_text,
     rosenblatt_check,
     solution_set,
     validate_certificate,
-    validate_verdict,
 )
 from .catalog import CATALOG_NAMES, by_name
 from .partialmap import domain_of, render
@@ -157,10 +157,6 @@ def _parse_equations(sg, eq_texts, arity_flag):
     return EquationSystem(equations)
 
 
-def _point_text(sg, p) -> str:
-    return "(" + ",".join(sg.names[i] for i in p) + ")"
-
-
 def cmd_info(args, sg, out) -> int:
     _header(args, sg, out)
     print(f"order: {sg.order}", file=out)
@@ -213,10 +209,14 @@ def cmd_solve(args, sg, out) -> int:
         rhs = term_text(sg, flatten(sg, eq.rhs))
         print(f"system: {lhs} = {rhs}", file=out)
     print(f"arity: {system.arity}", file=out)
-    solutions = solution_set(sg, system)
+    try:
+        solutions = solution_set(sg, system)
+    except BoundExceededError as exc:
+        print(f"solutions: unknown ({exc})", file=out)
+        return 3
     print(f"solutions: {len(solutions.members)}", file=out)
     for p in solutions.sorted_members():
-        print(_point_text(sg, p), file=out)
+        print(point_text(sg, p), file=out)
     return 0
 
 
@@ -224,27 +224,26 @@ def _closure_common(args, sg, out, show_members: bool) -> int:
     pts = _parse_points(sg, args.points, args.arity)
     _header(args, sg, out)
     print(f"arity: {pts.arity}", file=out)
-    print(f"input: {', '.join(_point_text(sg, p) for p in pts.sorted_members())}", file=out)
+    print(f"input: {', '.join(point_text(sg, p) for p in pts.sorted_members())}", file=out)
     try:
-        report = closure(sg, pts, max_cells=args.max_cells)
+        verdict = is_algebraic(sg, pts, max_cells=args.max_cells)
     except BoundExceededError as exc:
         print(f"verdict: unknown ({exc})", file=out)
         return 3
+    report = verdict.report
     print(f"closure-size: {len(report.points.members)}", file=out)
     print(f"exact: {'true' if report.exact else 'false'}", file=out)
     if show_members:
         print("members:", file=out)
         for p in report.points.sorted_members():
-            print(_point_text(sg, p), file=out)
-    if not report.exact:
+            print(point_text(sg, p), file=out)
+    if verdict.status == "unknown":
         print("verdict: unknown (clone truncated; raise --max-cells)", file=out)
         return 3
-    if report.points.members == pts.members:
-        print("verdict: yes", file=out)
+    print(f"verdict: {verdict.status}", file=out)
+    if verdict.status == "yes":
         return 0
-    witness = min(report.points.members - pts.members)
-    print("verdict: no", file=out)
-    print(f"witness: {_point_text(sg, witness)}", file=out)
+    print(f"witness: {point_text(sg, verdict.witness)}", file=out)
     return 1
 
 
@@ -274,20 +273,9 @@ def cmd_verify(args, sg, out) -> int:
         print("verdict: NotED (not certified at this size)", file=out)
     for reason in verdict.truncated:
         print(f"truncated: {reason}", file=out)
-    for cert in verdict.certificates:
-        print("", file=out)
-        print(format_certificate(sg, cert), file=out)
     if not verdict.certificates:
         return 3
-    try:
-        validate_verdict(sg, verdict, max_cells=args.max_cells)
-    except CertificateError as exc:
-        print("", file=out)
-        print(f"revalidation: FAILED ({exc})", file=out)
-        return 1
-    print("", file=out)
-    print("revalidation: ok", file=out)
-    return 0
+    return _report_certificates(args, sg, verdict.certificates, out)
 
 
 def _verify_rosenblatt(args, sg, out) -> int:
@@ -301,10 +289,17 @@ def _verify_rosenblatt(args, sg, out) -> int:
         print("result: algebraic (no certificate)", file=out)
         return 0
     print("result: not-algebraic", file=out)
-    print("", file=out)
-    print(format_certificate(sg, result), file=out)
+    return _report_certificates(args, sg, (result,), out)
+
+
+def _report_certificates(args, sg, certificates, out) -> int:
+    """Print each certificate, then recheck them all: 0 if they pass, else 1."""
+    for cert in certificates:
+        print("", file=out)
+        print(format_certificate(sg, cert), file=out)
     try:
-        validate_certificate(sg, result, max_cells=args.max_cells)
+        for cert in certificates:
+            validate_certificate(sg, cert, max_cells=args.max_cells)
     except CertificateError as exc:
         print("", file=out)
         print(f"revalidation: FAILED ({exc})", file=out)

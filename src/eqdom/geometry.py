@@ -9,12 +9,13 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .semigroup import (
     FiniteInverseSemigroup,
-    find_incomparable_pair,
+    incomparable_pairs,
     is_group,
     natural_order,
 )
@@ -35,13 +36,28 @@ DEFAULT_MAX_POINTS = 20_000
 
 
 class BoundExceededError(ValueError):
-    def __init__(self, message: str, required: int):
+    """More points than the bound allows; required is how many, or None past 2^64."""
+
+    def __init__(self, message: str, required: int | None):
         self.required = required
         super().__init__(message)
 
 
 class CertificateError(RuntimeError):
     """A certificate failed re-validation."""
+
+
+def _check_bound(what: str, order: int, arity: int, max_points: int) -> None:
+    # a count past 2^64 is neither computed nor printed: at a large arity
+    # that would take more time and memory than the bound is there to save
+    huge = (order.bit_length() - 1) * arity > 64
+    total = None if huge else order ** arity
+    if huge or total > max_points:
+        count = "more than 2^64" if huge else total
+        raise BoundExceededError(
+            f"{what} over arity {arity} needs {count} points, bound is {max_points}",
+            required=total,
+        )
 
 
 @dataclass(frozen=True)
@@ -86,8 +102,23 @@ class PointSet:
         return sorted(self.members)
 
 
-def solution_set(sg: FiniteInverseSemigroup, system: EquationSystem) -> PointSet:
-    """All points of S^arity satisfying every equation, by direct evaluation."""
+def point_text(sg: FiniteInverseSemigroup, p: tuple[int, ...]) -> str:
+    """A point as element names, e.g. '(e,f)'."""
+    return "(" + ",".join(sg.names[i] for i in p) + ")"
+
+
+def solution_set(
+    sg: FiniteInverseSemigroup,
+    system: EquationSystem,
+    *,
+    max_points: int = DEFAULT_MAX_POINTS,
+) -> PointSet:
+    """All points of S^arity satisfying every equation, by direct evaluation.
+
+    Raises BoundExceededError before evaluating anything when S^arity has
+    more than max_points points.
+    """
+    _check_bound("solution set", sg.order, system.arity, max_points)
     flat = [
         (flatten(sg, eq.lhs), flatten(sg, eq.rhs)) for eq in system.equations
     ]
@@ -129,12 +160,8 @@ def closure(
     be unsound: callers get exact=False and must answer unknown.
     """
     n = pts.arity
+    _check_bound("closure", sg.order, n, max_points)
     total = sg.order ** n
-    if total > max_points:
-        raise BoundExceededError(
-            f"closure over arity {n} needs {total} points, bound is {max_points}",
-            required=total,
-        )
     clone = clone_closure(sg, n, max_cells)
     matrix = clone.value_matrix
     k = matrix.shape[0]
@@ -193,26 +220,23 @@ class Unknown:
 class Certificate:
     """Recheckable evidence for one verdict.
 
-    Kinds: IncomparableWitness and ChainWitness carry a union of solution
-    sets plus a witness point that lies in the closure of the union but not
-    in the union; RosenblattWitness does the same for the fixed union
-    {x1=x2} or {x3=x4}; ZeroPresent records an absorbing zero (a semigroup
-    with zero is never an equational domain, a known result cited rather
-    than re-proved here); GroupOutOfScope records that the semigroup is a
-    group, for which this tool makes no claim either way.
+    Kinds: the witness kinds of WITNESS_KINDS (IncomparableWitness,
+    ChainWitness, RosenblattWitness) carry a union of two solution sets plus
+    a witness point that lies in the closure of the union but not in the
+    union; ZeroPresent records an absorbing zero (a semigroup with zero is
+    never an equational domain, a known result cited rather than re-proved
+    here); GroupOutOfScope records that the semigroup is a group, for which
+    this tool makes no claim either way.  The last four fields are None on
+    the two cited kinds.
     """
 
     kind: str
     semigroup: str
     idempotents: tuple[int, ...]
-    union: PointSet | None
-    witness: tuple[int, ...] | None
-    closure_size: int | None
-    exact: bool | None
-
-
-def _point_str(sg: FiniteInverseSemigroup, p: tuple[int, ...]) -> str:
-    return "(" + ",".join(sg.names[i] for i in p) + ")"
+    union: PointSet | None = None
+    witness: tuple[int, ...] | None = None
+    closure_size: int | None = None
+    exact: bool | None = None
 
 
 def format_certificate(sg: FiniteInverseSemigroup, cert: Certificate) -> str:
@@ -220,8 +244,8 @@ def format_certificate(sg: FiniteInverseSemigroup, cert: Certificate) -> str:
     if cert.union is None:
         union_text = "-"
     else:
-        union_text = ", ".join(_point_str(sg, p) for p in cert.union.sorted_members())
-    witness = _point_str(sg, cert.witness) if cert.witness is not None else "-"
+        union_text = ", ".join(point_text(sg, p) for p in cert.union.sorted_members())
+    witness = point_text(sg, cert.witness) if cert.witness is not None else "-"
     size = str(cert.closure_size) if cert.closure_size is not None else "-"
     exact = "-" if cert.exact is None else ("true" if cert.exact else "false")
     return "\n".join([
@@ -235,25 +259,101 @@ def format_certificate(sg: FiniteInverseSemigroup, cert: Certificate) -> str:
     ])
 
 
-def _var_equals_const(sg, var: int, element: int, arity: int) -> PointSet:
-    eq = Equation(Var(var), Const(element), arity)
-    return solution_set(sg, EquationSystem((eq,)))
+@dataclass(frozen=True)
+class WitnessKind:
+    """One way to show that a union of two solution sets is not algebraic.
+
+    choices lists every idempotent tuple the kind may name, least first, and
+    is empty when the kind does not apply; equations gives the two equations
+    whose solution sets form the union; witness gives the point proved to lie
+    in the closure of the union but not in it, or None when any such point
+    will do (the least is reported); subject is what the point-bound message
+    names.
+    """
+
+    subject: str
+    choices: Callable[[FiniteInverseSemigroup], tuple[tuple[int, ...], ...]]
+    equations: Callable[[FiniteInverseSemigroup, tuple[int, ...]], tuple[Equation, Equation]]
+    witness: Callable[[FiniteInverseSemigroup, tuple[int, ...]], tuple[int, ...] | None]
 
 
-def _rosenblatt_union(sg) -> PointSet:
-    eq12 = Equation(Var(0), Var(1), 4)
-    eq34 = Equation(Var(2), Var(3), 4)
-    return union(
-        solution_set(sg, EquationSystem((eq12,))),
-        solution_set(sg, EquationSystem((eq34,))),
+def _chain_extremes(sg: FiniteInverseSemigroup) -> tuple[tuple[int, int], ...]:
+    order = natural_order(sg)
+    if is_group(sg) or not order.is_chain():
+        return ()
+    return (order.maximal() + order.minimal(),)
+
+
+WITNESS_KINDS: dict[str, WitnessKind] = {
+    "IncomparableWitness": WitnessKind(
+        subject="closure",
+        choices=incomparable_pairs,
+        equations=lambda sg, ef: (
+            Equation(Var(0), Const(ef[0]), 1), Equation(Var(0), Const(ef[1]), 1)
+        ),
+        witness=lambda sg, ef: (sg.table[ef[0]][ef[1]],),
+    ),
+    "ChainWitness": WitnessKind(
+        subject="closure",
+        choices=_chain_extremes,
+        equations=lambda sg, tb: (
+            Equation(Var(0), Const(tb[0]), 2), Equation(Var(1), Const(tb[0]), 2)
+        ),
+        witness=lambda sg, tb: (tb[1], tb[1]),
+    ),
+    "RosenblattWitness": WitnessKind(
+        subject="rosenblatt union",
+        choices=lambda sg: ((),),
+        equations=lambda sg, _: (Equation(Var(0), Var(1), 4), Equation(Var(2), Var(3), 4)),
+        witness=lambda sg, _: None,
+    ),
+}
+
+
+def _union_of(sg, equations, max_points: int) -> PointSet:
+    a, b = (
+        solution_set(sg, EquationSystem((eq,)), max_points=max_points)
+        for eq in equations
+    )
+    return union(a, b)
+
+
+def _witness_certificate(
+    sg: FiniteInverseSemigroup, kind_name: str, max_points: int, max_cells: int
+) -> Certificate | Unknown | None:
+    """The certificate of one witness kind: None when the kind does not apply
+    or its union is algebraic, Unknown when the bounds are too small."""
+    kind = WITNESS_KINDS[kind_name]
+    choices = kind.choices(sg)
+    if not choices:
+        return None
+    idem = choices[0]
+    equations = kind.equations(sg, idem)
+    try:
+        _check_bound(kind.subject, sg.order, equations[0].arity, max_points)
+    except BoundExceededError as exc:
+        return Unknown(str(exc))
+    u = _union_of(sg, equations, max_points)
+    report = closure(sg, u, max_points=max_points, max_cells=max_cells)
+    if not report.exact:
+        return Unknown("clone truncated; closure is not exact")
+    extra = report.points.members - u.members
+    witness = kind.witness(sg, idem)
+    if witness is None:
+        if not extra:
+            return None
+        witness = min(extra)
+    elif witness not in extra:
+        raise CertificateError(f"{kind_name} failed its membership facts")
+    return Certificate(
+        kind_name, sg.label, idem, u, witness,
+        closure_size=len(report.points.members), exact=True,
     )
 
 
 def lemma4_check(
-    sg: FiniteInverseSemigroup,
-    *,
-    max_points: int = DEFAULT_MAX_POINTS,
-    max_cells: int = DEFAULT_MAX_CELLS,
+    sg: FiniteInverseSemigroup, *,
+    max_points: int = DEFAULT_MAX_POINTS, max_cells: int = DEFAULT_MAX_CELLS,
 ) -> Certificate | Unknown | None:
     """Certificate from an incomparable idempotent pair, or None on a chain.
 
@@ -261,36 +361,12 @@ def lemma4_check(
     that holds on all of V(x1=e) union V(x1=f), so ef lies in the closure of
     that union while ef is neither e nor f: the union is not algebraic.
     """
-    pair = find_incomparable_pair(sg)
-    if pair is None:
-        return None
-    e, f = pair
-    u = union(_var_equals_const(sg, 0, e, 1), _var_equals_const(sg, 0, f, 1))
-    try:
-        report = closure(sg, u, max_points=max_points, max_cells=max_cells)
-    except BoundExceededError as exc:
-        return Unknown(str(exc))
-    if not report.exact:
-        return Unknown("clone truncated; closure is not exact")
-    witness = (sg.table[e][f],)
-    if witness in u.members or witness not in report.points.members:
-        raise CertificateError("incomparable-pair witness failed its membership facts")
-    return Certificate(
-        kind="IncomparableWitness",
-        semigroup=sg.label,
-        idempotents=(e, f),
-        union=u,
-        witness=witness,
-        closure_size=len(report.points.members),
-        exact=report.exact,
-    )
+    return _witness_certificate(sg, "IncomparableWitness", max_points, max_cells)
 
 
 def lemma5_check(
-    sg: FiniteInverseSemigroup,
-    *,
-    max_points: int = DEFAULT_MAX_POINTS,
-    max_cells: int = DEFAULT_MAX_CELLS,
+    sg: FiniteInverseSemigroup, *,
+    max_points: int = DEFAULT_MAX_POINTS, max_cells: int = DEFAULT_MAX_CELLS,
 ) -> Certificate | Unknown | None:
     """Certificate from a two-element chain e > f, or None for groups and
     non-chains.
@@ -299,66 +375,18 @@ def lemma5_check(
     every equation holding on all of V(x1=e) union V(x2=e) in S^2, yet lies
     in neither part: that union is not algebraic either.
     """
-    if is_group(sg) or find_incomparable_pair(sg) is not None:
-        return None
-    order = natural_order(sg)
-    (top,) = order.maximal()
-    (bottom,) = order.minimal()
-    u = union(_var_equals_const(sg, 0, top, 2), _var_equals_const(sg, 1, top, 2))
-    try:
-        report = closure(sg, u, max_points=max_points, max_cells=max_cells)
-    except BoundExceededError as exc:
-        return Unknown(str(exc))
-    if not report.exact:
-        return Unknown("clone truncated; closure is not exact")
-    witness = (bottom, bottom)
-    if witness in u.members or witness not in report.points.members:
-        raise CertificateError("chain witness failed its membership facts")
-    return Certificate(
-        kind="ChainWitness",
-        semigroup=sg.label,
-        idempotents=(top, bottom),
-        union=u,
-        witness=witness,
-        closure_size=len(report.points.members),
-        exact=report.exact,
-    )
+    return _witness_certificate(sg, "ChainWitness", max_points, max_cells)
 
 
 def rosenblatt_check(
-    sg: FiniteInverseSemigroup,
-    *,
-    max_points: int = DEFAULT_MAX_POINTS,
-    max_cells: int = DEFAULT_MAX_CELLS,
+    sg: FiniteInverseSemigroup, *,
+    max_points: int = DEFAULT_MAX_POINTS, max_cells: int = DEFAULT_MAX_CELLS,
 ) -> Certificate | Unknown | None:
     """Is the union {x1=x2} or {x3=x4} in S^4 algebraic?  None when it is
     (e.g. over the trivial group); a certificate with the least witness point
     when it is not, which is the expected outcome for every inverse
     non-group."""
-    if sg.order ** 4 > max_points:
-        return Unknown(
-            f"rosenblatt union over arity 4 needs {sg.order ** 4} points, "
-            f"bound is {max_points}"
-        )
-    u = _rosenblatt_union(sg)
-    try:
-        report = closure(sg, u, max_points=max_points, max_cells=max_cells)
-    except BoundExceededError as exc:
-        return Unknown(str(exc))
-    if not report.exact:
-        return Unknown("clone truncated; closure is not exact")
-    extra = report.points.members - u.members
-    if not extra:
-        return None
-    return Certificate(
-        kind="RosenblattWitness",
-        semigroup=sg.label,
-        idempotents=(),
-        union=u,
-        witness=min(extra),
-        closure_size=len(report.points.members),
-        exact=report.exact,
-    )
+    return _witness_certificate(sg, "RosenblattWitness", max_points, max_cells)
 
 
 @dataclass(frozen=True)
@@ -390,32 +418,16 @@ def ed_verdict(
     """
     if is_group(sg):
         (e,) = sg.idempotents
-        cert = Certificate(
-            kind="GroupOutOfScope",
-            semigroup=sg.label,
-            idempotents=(e,),
-            union=None,
-            witness=None,
-            closure_size=None,
-            exact=None,
-        )
+        cert = Certificate("GroupOutOfScope", sg.label, (e,))
         return Verdict(sg.label, "GroupOutOfScope", (cert,), ())
 
     certificates = []
     truncated = []
     if sg.zero is not None:
-        certificates.append(Certificate(
-            kind="ZeroPresent",
-            semigroup=sg.label,
-            idempotents=(sg.zero,),
-            union=None,
-            witness=None,
-            closure_size=None,
-            exact=None,
-        ))
-    if find_incomparable_pair(sg) is not None:
-        computed = lemma4_check(sg, max_points=max_points, max_cells=max_cells)
-    else:
+        certificates.append(Certificate("ZeroPresent", sg.label, (sg.zero,)))
+    # lemma4 applies exactly when the idempotents are not a chain
+    computed = lemma4_check(sg, max_points=max_points, max_cells=max_cells)
+    if computed is None:
         computed = lemma5_check(sg, max_points=max_points, max_cells=max_cells)
     if isinstance(computed, Certificate):
         certificates.append(computed)
@@ -433,8 +445,9 @@ def validate_certificate(
 ) -> None:
     """Recheck a certificate from scratch; raises CertificateError on any gap.
 
-    Witness-style kinds recompute the union and its closure and re-verify the
-    membership facts; ZeroPresent re-verifies the absorbing law; and
+    Witness kinds recheck that the kind may name the recorded idempotents,
+    recompute the union and its closure, and re-verify the witness rule and
+    the membership facts; ZeroPresent re-verifies the absorbing law; and
     GroupOutOfScope re-verifies the single idempotent.
     """
     if cert.kind == "GroupOutOfScope":
@@ -453,37 +466,17 @@ def validate_certificate(
             if sg.table[z][s] != z or sg.table[s][z] != z:
                 raise CertificateError("zero law fails")
         return
-    if cert.kind == "IncomparableWitness":
-        e, f = cert.idempotents
-        order = natural_order(sg)
-        if e not in order.elements or f not in order.elements:
-            raise CertificateError("named elements are not idempotent")
-        if order.leq(e, f) or order.leq(f, e):
-            raise CertificateError("idempotents are comparable")
-        expected_union = union(
-            _var_equals_const(sg, 0, e, 1), _var_equals_const(sg, 0, f, 1)
-        )
-        if cert.witness != (sg.table[e][f],):
-            raise CertificateError("witness is not the product of the pair")
-    elif cert.kind == "ChainWitness":
-        e, f = cert.idempotents
-        order = natural_order(sg)
-        if not order.is_chain():
-            raise CertificateError("idempotents do not form a chain")
-        if order.maximal() != (e,) or order.minimal() != (f,) or e == f:
-            raise CertificateError("named idempotents are not the chain extremes")
-        expected_union = union(
-            _var_equals_const(sg, 0, e, 2), _var_equals_const(sg, 1, e, 2)
-        )
-        if cert.witness != (f, f):
-            raise CertificateError("witness is not the bottom pair")
-    elif cert.kind == "RosenblattWitness":
-        expected_union = _rosenblatt_union(sg)
-    else:
+    kind = WITNESS_KINDS.get(cert.kind)
+    if kind is None:
         raise CertificateError(f"unknown certificate kind {cert.kind!r}")
-
+    if cert.idempotents not in kind.choices(sg):
+        raise CertificateError(f"{cert.kind} cannot name these idempotents")
+    expected_union = _union_of(sg, kind.equations(sg, cert.idempotents), max_points)
     if cert.union is None or cert.union.members != expected_union.members:
         raise CertificateError("recorded union does not match its definition")
+    rule = kind.witness(sg, cert.idempotents)
+    if rule is not None and cert.witness != rule:
+        raise CertificateError("witness does not follow the rule of its kind")
     report = closure(sg, expected_union, max_points=max_points, max_cells=max_cells)
     if not report.exact:
         raise CertificateError("closure no longer exact under the given bounds")

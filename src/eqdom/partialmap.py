@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class GroundMismatchError(ValueError):
     """Raised when two maps over different ground sets are combined."""
-
-
-class NotIdempotentError(ValueError):
-    """Raised when an idempotent-only operation receives a non-idempotent map."""
 
 
 @dataclass(frozen=True)
@@ -63,14 +59,10 @@ class PartialInjection:
         return render(self)
 
 
-def _same_ground(f: PartialInjection, g: PartialInjection) -> None:
-    if f.ground != g.ground:
-        raise GroundMismatchError("partial injections live on different ground sets")
-
-
 def compose(f: PartialInjection, g: PartialInjection) -> PartialInjection:
     """Right-action composite m -> (m f) g; defined where both steps are."""
-    _same_ground(f, g)
+    if f.ground != g.ground:
+        raise GroundMismatchError("partial injections live on different ground sets")
     images = tuple(
         g.images[j] if (j := f.images[i]) is not None else None
         for i in range(f.ground.size)
@@ -89,49 +81,6 @@ def inverse(f: PartialInjection) -> PartialInjection:
 
 def domain_of(f: PartialInjection) -> frozenset[int]:
     return frozenset(i for i, j in enumerate(f.images) if j is not None)
-
-
-def image_of(f: PartialInjection) -> frozenset[int]:
-    return frozenset(j for j in f.images if j is not None)
-
-
-def is_idempotent(f: PartialInjection) -> bool:
-    return compose(f, f) == f
-
-
-def restrict(f: PartialInjection, g: PartialInjection) -> PartialInjection:
-    """f cut down to the domain of g.  Equals compose(domain_idempotent(g), f)."""
-    _same_ground(f, g)
-    dom = domain_of(g)
-    images = tuple(
-        f.images[i] if i in dom else None for i in range(f.ground.size)
-    )
-    return PartialInjection(f.ground, images)
-
-
-def idempotent_leq(e: PartialInjection, f: PartialInjection) -> bool:
-    """Natural order on idempotents: e <= f iff ef = e, i.e. dom(e) within dom(f)."""
-    _same_ground(e, f)
-    if not is_idempotent(e):
-        raise NotIdempotentError(f"left argument is not idempotent: {e}")
-    if not is_idempotent(f):
-        raise NotIdempotentError(f"right argument is not idempotent: {f}")
-    return domain_of(e) <= domain_of(f)
-
-
-def identity_on(ground: GroundSet, points: Iterable[int]) -> PartialInjection:
-    subset = set(points)
-    images = tuple(i if i in subset else None for i in range(ground.size))
-    return PartialInjection(ground, images)
-
-
-def empty_map(ground: GroundSet) -> PartialInjection:
-    return PartialInjection(ground, (None,) * ground.size)
-
-
-def from_pairs(ground: GroundSet, pairs: dict[int, int]) -> PartialInjection:
-    images = tuple(pairs.get(i) for i in range(ground.size))
-    return PartialInjection(ground, images)
 
 
 def all_partial_injections(ground: GroundSet) -> Iterator[PartialInjection]:

@@ -71,17 +71,11 @@ class FiniteInverseSemigroup:
     def order(self) -> int:
         return len(self.names)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
         except ValueError:
             raise SemigroupError(f"unknown element name: {name!r}") from None
-
-    def is_idempotent(self, s: int) -> bool:
-        return s in self.idempotents
 
     def __repr__(self) -> str:
         tag = self.label or "anonymous"
@@ -246,24 +240,26 @@ def natural_order(sg: FiniteInverseSemigroup) -> IdempotentOrder:
     return order
 
 
-def find_incomparable_pair(sg: FiniteInverseSemigroup) -> tuple[int, int] | None:
-    """Lexicographically least pair of order-incomparable idempotents, if any."""
+def incomparable_pairs(sg: FiniteInverseSemigroup) -> tuple[tuple[int, int], ...]:
+    """Every ordered pair of order-incomparable idempotents, lexicographically."""
     order = natural_order(sg)
-    for e in order.elements:
-        for f in order.elements:
-            if f <= e:
-                continue
-            if not order.leq(e, f) and not order.leq(f, e):
-                return (e, f)
-    return None
+    return tuple(
+        (e, f) for e in order.elements for f in order.elements
+        if not order.leq(e, f) and not order.leq(f, e)
+    )
+
+
+def find_incomparable_pair(sg: FiniteInverseSemigroup) -> tuple[int, int] | None:
+    """Lexicographically least pair of order-incomparable idempotents, if any.
+
+    Its first element is the smaller one: the reversed pair sorts later.
+    """
+    pairs = incomparable_pairs(sg)
+    return pairs[0] if pairs else None
 
 
 def is_chain(sg: FiniteInverseSemigroup) -> bool:
     return find_incomparable_pair(sg) is None
-
-
-def minimal_idempotents(sg: FiniteInverseSemigroup) -> tuple[int, ...]:
-    return natural_order(sg).minimal()
 
 
 def wagner_preston(sg: FiniteInverseSemigroup) -> tuple[PartialInjection, ...]:

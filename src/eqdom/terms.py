@@ -10,13 +10,17 @@ and adjacent constants fuse through the Cayley table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 
 import numpy as np
 
 DEFAULT_MAX_CELLS = 5_000_000
+# Most literals a parsed term may have after '^k' expansion, and deepest
+# parenthesis nesting; keeps the recursive parse, flatten, variables_of and
+# evaluate a few hundred frames under the interpreter's recursion limit.
+MAX_TERM_SIZE = 100
 
 
 @dataclass(frozen=True)
@@ -122,19 +126,23 @@ def parse(text: str, arity: int, semigroup) -> Term:
     expanded through inversion at parse time.  Identifiers of the form
     x1..x<arity> are variables; any other identifier must name an element of
     the semigroup.  An element that happens to be named like a variable is
-    shadowed and unreachable in this syntax.
+    shadowed and unreachable in this syntax.  A term with more than
+    MAX_TERM_SIZE literals once '^k' is expanded, or with parentheses nested
+    deeper than that, is a ParseError.
     """
     tokens = _lex(text)
     if not tokens:
         raise ParseError("empty input is not a term", 0)
-    term, at = _parse_product(tokens, 0, arity, semigroup)
+    term, _, at = _parse_product(tokens, 0, arity, semigroup, 0)
     if at != len(tokens):
         raise ParseError("unexpected trailing input", tokens[at][2])
     return term
 
 
-def _parse_product(tokens, at, arity, semigroup):
+def _parse_product(tokens, at, arity, semigroup, depth):
+    """(term, its literal count, next token index)."""
     factors = []
+    size = 0
     after_star = False
     while at < len(tokens):
         kind, value, pos = tokens[at]
@@ -146,7 +154,10 @@ def _parse_product(tokens, at, arity, semigroup):
             after_star = True
             at += 1
             continue
-        factor, at = _parse_factor(tokens, at, arity, semigroup)
+        factor, factor_size, at = _parse_factor(tokens, at, arity, semigroup, depth)
+        size += factor_size
+        if size > MAX_TERM_SIZE:
+            raise ParseError(f"term has more than {MAX_TERM_SIZE} literals", pos)
         factors.append(factor)
         after_star = False
     if after_star:
@@ -157,19 +168,22 @@ def _parse_product(tokens, at, arity, semigroup):
     term = factors[0]
     for f in factors[1:]:
         term = Product(term, f)
-    return term, at
+    return term, size, at
 
 
-def _parse_factor(tokens, at, arity, semigroup):
+def _parse_factor(tokens, at, arity, semigroup, depth):
     kind, value, pos = tokens[at]
     if kind == "(":
-        inner, at = _parse_product(tokens, at + 1, arity, semigroup)
+        if depth >= MAX_TERM_SIZE:
+            raise ParseError(f"parentheses nested deeper than {MAX_TERM_SIZE}", pos)
+        inner, size, at = _parse_product(tokens, at + 1, arity, semigroup, depth + 1)
         if at >= len(tokens) or tokens[at][0] != ")":
             raise ParseError("unclosed parenthesis", pos)
         atom = inner
         at += 1
     elif kind == "ident":
         atom = _resolve(value, arity, semigroup, pos)
+        size = 1
         at += 1
     else:
         raise ParseError(f"unexpected token {kind!r}", pos)
@@ -177,12 +191,15 @@ def _parse_factor(tokens, at, arity, semigroup):
         k = tokens[at][1]
         if k == 0:
             raise ParseError("exponent must be nonzero", tokens[at][2])
+        size *= abs(k)
+        if size > MAX_TERM_SIZE:
+            raise ParseError(f"term has more than {MAX_TERM_SIZE} literals", tokens[at][2])
         base = atom if k > 0 else Inverse(atom)
         term = base
         for _ in range(abs(k) - 1):
             term = Product(term, base)
-        return term, at + 1
-    return atom, at
+        return term, size, at + 1
+    return atom, size, at
 
 
 def _resolve(name, arity, semigroup, pos):
@@ -232,22 +249,6 @@ def _flatten_into(semigroup, term, sign, out):
             _flatten_into(semigroup, term.left, sign, out)
     else:
         raise TypeError(f"not a term: {term!r}")
-
-
-def embed(flat: FlatTerm) -> Term:
-    """A Term whose flattening is the given flat term (left-associated product)."""
-    parts: list[Term] = []
-    for lit in flat.literals:
-        if isinstance(lit, ConstLit):
-            parts.append(Const(lit.element))
-        elif lit.sign > 0:
-            parts.append(Var(lit.index))
-        else:
-            parts.append(Inverse(Var(lit.index)))
-    term = parts[0]
-    for p in parts[1:]:
-        term = Product(term, p)
-    return term
 
 
 def variables_of(term) -> frozenset[int]:
@@ -332,17 +333,8 @@ def point_index(order: int, point) -> int:
 
 
 @dataclass(frozen=True)
-class TermFunction:
-    """An n-ary function table realized by at least one term (its witness)."""
-
-    arity: int
-    values: tuple[int, ...]
-    witness: FlatTerm = field(compare=False)
-
-
-@dataclass(frozen=True)
 class CloneResult:
-    functions: tuple[TermFunction, ...]
+    functions: tuple[tuple[int, ...], ...]  # value tables in orbit order
     complete: bool
     order: int
     arity: int
@@ -352,18 +344,11 @@ class CloneResult:
         """Row k = value table of functions[k]; dtype int16 (orders are small)."""
         if not self.functions:
             return np.empty((0, self.order ** self.arity), dtype=np.int16)
-        return np.array([f.values for f in self.functions], dtype=np.int16)
+        return np.array(self.functions, dtype=np.int16)
 
     @cached_property
     def tables(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(f.values for f in self.functions)
-
-
-def _append_literal(semigroup, word, lit):
-    if isinstance(lit, ConstLit) and isinstance(word[-1], ConstLit):
-        fused = ConstLit(semigroup.table[word[-1].element][lit.element])
-        return word[:-1] + (fused,)
-    return word + (lit,)
+        return frozenset(self.functions)
 
 
 @lru_cache(maxsize=64)
@@ -388,42 +373,36 @@ def clone_closure(semigroup, arity: int, max_cells: int = DEFAULT_MAX_CELLS) -> 
     inv = semigroup.inv
     points = list(all_points(order, arity))
 
-    generators: list[tuple[tuple[int, ...], Literal]] = []
+    generators: list[tuple[int, ...]] = []
     for i in range(arity):
-        generators.append((tuple(p[i] for p in points), VarLit(i, +1)))
-        generators.append((tuple(inv[p[i]] for p in points), VarLit(i, -1)))
+        generators.append(tuple(p[i] for p in points))
+        generators.append(tuple(inv[p[i]] for p in points))
     for c in range(order):
-        generators.append(((c,) * cells, ConstLit(c)))
+        generators.append((c,) * cells)
 
-    seen: dict[tuple[int, ...], int] = {}
+    seen: set[tuple[int, ...]] = set()
     values: list[tuple[int, ...]] = []
-    words: list[tuple[Literal, ...]] = []
     complete = True
 
-    def try_add(vals, word) -> None:
+    def try_add(vals) -> None:
         nonlocal complete
         if vals in seen:
             return
         if len(values) >= limit:
             complete = False
             return
-        seen[vals] = len(values)
+        seen.add(vals)
         values.append(vals)
-        words.append(word)
 
-    for gvals, glit in generators:
-        try_add(gvals, (glit,))
+    for gvals in generators:
+        try_add(gvals)
     i = 0
     while i < len(values) and complete:
         fv = values[i]
-        fw = words[i]
-        for gvals, glit in generators:
+        for gvals in generators:
             prod = tuple(table[a][b] for a, b in zip(fv, gvals))
             if prod not in seen:
-                try_add(prod, _append_literal(semigroup, fw, glit))
+                try_add(prod)
         i += 1
 
-    functions = tuple(
-        TermFunction(arity, v, FlatTerm(w)) for v, w in zip(values, words)
-    )
-    return CloneResult(functions, complete, order, arity)
+    return CloneResult(tuple(values), complete, order, arity)

@@ -236,3 +236,35 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "verify", "--catalog", "brandt_b2")
     second = run(capsys, "verify", "--catalog", "brandt_b2")
     assert first == second
+
+
+@pytest.mark.parametrize("term", [
+    "x1^99999999",
+    "x1^990",
+    " ".join(["x1"] * 1200),
+    "(" * 1000 + "x1" + ")" * 1000,
+], ids=["huge-exponent", "long-power", "long-product", "deep-nesting"])
+def test_oversized_terms_are_input_errors(capsys, term):
+    code, out, err = run(capsys, "solve", "--catalog", "chain2", "--eq", f"{term} = e")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert "more than 100 literals" in err or "nested deeper than 100" in err
+
+
+def test_solve_respects_the_point_bound(capsys):
+    code, out, _ = run(
+        capsys, "solve", "--catalog", "sim3", "--arity", "6",
+        "--eq", "x1 x2 x3 x4 x5 x6 = 123",
+    )
+    assert code == 3
+    assert out.endswith(
+        "arity: 6\n"
+        "solutions: unknown (solution set over arity 6 needs 1544804416 points, "
+        "bound is 20000)\n"
+    )
+    code, out, _ = run(capsys, "solve", "--catalog", "sim3", "--arity", "5000", "--eq", "x1 = 123")
+    assert code == 3
+    assert out.endswith(
+        "solutions: unknown (solution set over arity 5000 needs more than 2^64 points, "
+        "bound is 20000)\n"
+    )

@@ -107,6 +107,9 @@ def test_closure_bound_exceeded():
     with pytest.raises(BoundExceededError) as exc:
         closure(sim3, PointSet(3, frozenset({(0, 0, 0)})))
     assert exc.value.required == 34 ** 3
+    with pytest.raises(BoundExceededError) as exc:
+        solution_set(sim3, _system(sim3, 3, "x1 x2 = x3"))
+    assert exc.value.required == 34 ** 3
 
 
 def test_closure_laws_on_random_sets():
@@ -260,17 +263,52 @@ def test_format_certificate_is_stable():
 
 
 def test_tampered_certificates_fail_revalidation():
-    cert = lemma4_check(BRANDT)
-    for field, value in (
-        ("witness", (0,)),
-        ("closure_size", 4),
-        ("idempotents", (0, 4)),
-        ("union", PointSet(1, frozenset({(0,)}))),
-        ("kind", "nonsense"),
-    ):
-        bad = dataclasses.replace(cert, **{field: value})
-        with pytest.raises(CertificateError):
-            validate_certificate(BRANDT, bad)
+    cases = {
+        ("brandt_b2", lemma4_check): (
+            ("witness", (0,)),
+            ("closure_size", 4),
+            ("idempotents", (0, 4)),
+            ("union", PointSet(1, frozenset({(0,)}))),
+            ("kind", "nonsense"),
+        ),
+        ("chain2", lemma5_check): (
+            ("witness", (0, 0)),
+            ("closure_size", 3),
+            ("idempotents", (1, 0)),
+            ("union", PointSet(2, frozenset({(0, 0), (0, 1)}))),
+            ("kind", "IncomparableWitness"),
+        ),
+        # (f,f) lies in closure minus union too, but the rule names (g,g)
+        ("chain3", lemma5_check): (("witness", (1, 1)),),
+        ("z2", rosenblatt_check): (
+            ("witness", (0, 0, 0, 0)),
+            ("closure_size", 15),
+            ("idempotents", (0,)),
+            ("union", PointSet(4, frozenset({(0, 0, 0, 0)}))),
+            ("kind", "ChainWitness"),
+        ),
+    }
+    for (name, check), tampered in cases.items():
+        sg = by_name(name)
+        cert = check(sg)
+        validate_certificate(sg, cert)
+        for field, value in tampered:
+            bad = dataclasses.replace(cert, **{field: value})
+            with pytest.raises(CertificateError):
+                validate_certificate(sg, bad)
+
+
+def test_revalidation_accepts_every_valid_witness_choice():
+    # any incomparable pair, in either order, with its own product as witness
+    for e, f in ((0, 3), (3, 0)):
+        union_ef = PointSet(1, frozenset({(e,), (f,)}))
+        cert = Certificate("IncomparableWitness", "brandt_b2", (e, f), union_ef, (4,), 3, True)
+        validate_certificate(BRANDT, cert)
+    # any point of closure minus union, not only the least
+    cert = rosenblatt_check(C2)
+    for p in all_points(2, 4):
+        if p not in cert.union.members:
+            validate_certificate(C2, dataclasses.replace(cert, witness=p))
 
 
 def test_zero_and_group_certificates_recheck_the_laws():

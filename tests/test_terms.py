@@ -17,7 +17,6 @@ from eqdom.terms import (
     VarLit,
     all_points,
     clone_closure,
-    embed,
     evaluate,
     flatten,
     parse,
@@ -118,13 +117,14 @@ def test_flat_term_validation():
         VarLit(0, 2)
 
 
-def test_flatten_embed_is_a_normal_form():
+def test_flatten_is_a_normal_form():
     rng = random.Random("flatten-embed")
     for sg in (C2, SIM2, Z3S):
         for _ in range(60):
             term = random_term(rng, 2, sg.order)
             flat = flatten(sg, term)
-            assert flatten(sg, embed(flat)) == flat
+            # the rendered flat term parses back to a term with the same flattening
+            assert flatten(sg, parse(term_text(sg, flat), 2, sg)) == flat
             assert variables_of(flat) == variables_of(term)
 
 
@@ -181,15 +181,6 @@ def test_clone_sizes_are_stable():
         assert len(result.functions) == size, (name, arity)
 
 
-def test_clone_witnesses_realize_their_tables():
-    sg = by_name("brandt_b2")
-    result = clone_closure(sg, 1)
-    points = list(all_points(sg.order, 1))
-    for fn in result.functions:
-        got = tuple(evaluate(sg, fn.witness, p) for p in points)
-        assert got == fn.values
-
-
 def test_clone_is_closed_under_product_and_inversion():
     for name, arity in (("chain2", 2), ("z2", 2), ("brandt_b2", 1)):
         sg = by_name(name)
@@ -202,9 +193,9 @@ def test_clone_is_closed_under_product_and_inversion():
         for c in range(sg.order):
             assert (c,) * len(points) in tables
         for f in result.functions:
-            assert tuple(sg.inv[v] for v in f.values) in tables
+            assert tuple(sg.inv[v] for v in f) in tables
             for g in result.functions:
-                prod = tuple(sg.table[a][b] for a, b in zip(f.values, g.values))
+                prod = tuple(sg.table[a][b] for a, b in zip(f, g))
                 assert prod in tables
 
 
