@@ -1,6 +1,7 @@
 """Solution sets, algebraic closure, and the certificate-producing checks."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from eqdom.geometry import (
     validate_certificate,
     validate_verdict,
 )
-from eqdom.terms import Const, Var, all_points, parse
+from eqdom.terms import Const, Var, all_points, clone_closure, parse
 
 C2 = by_name("chain2")
 BRANDT = by_name("brandt_b2")
@@ -129,6 +130,65 @@ def test_closure_laws_on_random_sets():
                 p for p in pts if rng.random() < 0.2
             ))
             assert rep.points.members <= closure(sg, z).points.members
+
+
+def _in_subpower_closure(sg, arity, y, p):
+    """Subpower membership (Bulatov, Mayr and Steindl, IJAC 2016): p lies in
+    the closure of y iff the subalgebra of S^(y + [p]) generated by the
+    literal and constant columns projects injectively onto the y coordinates."""
+    coords = sorted(y) + [p]
+    gens = [(c,) * len(coords) for c in range(sg.order)]
+    for i in range(arity):
+        gens.append(tuple(q[i] for q in coords))
+        gens.append(tuple(sg.inv[q[i]] for q in coords))
+    queue = list(set(gens))
+    seen = set(queue)
+    for v in queue:
+        for g in gens:
+            w = tuple(sg.table[a][b] for a, b in zip(v, g))
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len({v[:-1] for v in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("name, arity", [
+    *((name, 1) for name in CATALOG_NAMES if name != "sim3"),
+    ("brandt_b2", 2), ("chain3", 2), ("z3", 2),
+])
+def test_closure_matches_subpower_membership(name, arity):
+    sg = by_name(name)
+    pts = list(all_points(sg.order, arity))
+    rng = random.Random(f"subpower/{name}/{arity}")
+    for size in range(4):
+        y = frozenset(rng.sample(pts, min(size, len(pts))))
+        report = closure(sg, PointSet(arity, y))
+        assert report.exact
+        expected = {p for p in pts if _in_subpower_closure(sg, arity, y, p)}
+        assert report.points.members == expected, sorted(y)
+
+
+@pytest.mark.parametrize("name, arity, max_cells", [
+    ("sim2", 1, 7 * 40), ("brandt_b2", 2, 25 * 120),
+])
+def test_truncated_closure_follows_the_pairwise_definition(name, arity, max_cells):
+    # a point is kept unless two clone functions agree on y and differ there
+    sg = by_name(name)
+    clone = clone_closure(sg, arity, max_cells)
+    assert not clone.complete
+    pts = list(all_points(sg.order, arity))
+    rng = random.Random(f"pairwise/{name}/{arity}")
+    for size in range(4):
+        y = frozenset(rng.sample(pts, size))
+        y_idx = [pts.index(q) for q in y]
+        keep = set(pts)
+        for f, g in itertools.combinations(clone.functions, 2):
+            if all(f[i] == g[i] for i in y_idx):
+                keep -= {q for q, a, b in zip(pts, f, g) if a != b}
+        report = closure(sg, PointSet(arity, y), max_cells=max_cells)
+        assert not report.exact
+        assert report.clone_size == len(clone.functions)
+        assert report.points.members == keep, sorted(y)
 
 
 def test_lemma4_none_on_chains():
