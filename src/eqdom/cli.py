@@ -44,6 +44,16 @@ class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="eqdom",
@@ -56,12 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", choices=CATALOG_NAMES, help="built-in semigroup")
         p.add_argument("--no-header", action="store_true", help="suppress the version line")
         p.add_argument(
-            "--max-cells", type=int, default=DEFAULT_MAX_CELLS, metavar="N",
+            "--max-cells", type=_positive_int, default=DEFAULT_MAX_CELLS, metavar="N",
             help="clone size cap in table cells (default %(default)s)",
         )
         if needs_arity:
             p.add_argument(
-                "--arity", type=int, default=None, metavar="N",
+                "--arity", type=_positive_int, default=None, metavar="N",
                 help="number of variables (default: inferred)",
             )
 

@@ -9,9 +9,8 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
-
-import numpy as np
 
 from .semigroup import (
     FiniteInverseSemigroup,
@@ -36,7 +35,8 @@ DEFAULT_MAX_POINTS = 20_000
 
 
 class BoundExceededError(ValueError):
-    """More points than the bound allows; required is how many, or None past 2^64."""
+    """More points, or longer points, than the bound allows; required is how
+    many points, or None past 2^64."""
 
     def __init__(self, message: str, required: int | None):
         self.required = required
@@ -56,6 +56,14 @@ def _check_bound(what: str, order: int, arity: int, max_points: int) -> None:
         count = "more than 2^64" if huge else total
         raise BoundExceededError(
             f"{what} over arity {arity} needs {count} points, bound is {max_points}",
+            required=total,
+        )
+    # only a one-element S passes the count above at such an arity, and its
+    # one point still has arity coordinates
+    if arity > max_points:
+        raise BoundExceededError(
+            f"{what} over arity {arity} needs points of {arity} coordinates, "
+            f"bound is {max_points}",
             required=total,
         )
 
@@ -116,7 +124,7 @@ def solution_set(
     """All points of S^arity satisfying every equation, by direct evaluation.
 
     Raises BoundExceededError before evaluating anything when S^arity has
-    more than max_points points.
+    more than max_points points, or the arity itself exceeds max_points.
     """
     _check_bound("solution set", sg.order, system.arity, max_points)
     flat = [
@@ -161,26 +169,20 @@ def closure(
     """
     n = pts.arity
     _check_bound("closure", sg.order, n, max_points)
-    total = sg.order ** n
     clone = clone_closure(sg, n, max_cells)
-    matrix = clone.value_matrix
-    k = matrix.shape[0]
-    mask = np.ones(total, dtype=bool)
-    if k >= 2:
-        y_idx = sorted(point_index(sg.order, p) for p in pts.members)
-        if y_idx:
-            fingerprints = matrix[:, y_idx]
-            _, labels = np.unique(fingerprints, axis=0, return_inverse=True)
-            labels = labels.reshape(-1)
-        else:
-            labels = np.zeros(k, dtype=np.intp)
-        order_idx = np.argsort(labels, kind="stable")
-        ordered = matrix[order_idx]
-        same_group = (labels[order_idx][1:] == labels[order_idx][:-1])[:, None]
-        adjacent_ok = (ordered[1:] == ordered[:-1]) | ~same_group
-        mask = adjacent_ok.all(axis=0)
-    all_pts = list(all_points(sg.order, n))
-    members = frozenset(all_pts[i] for i in np.nonzero(mask)[0])
+    k = len(clone.functions)
+    points = all_points(sg.order, n)
+    if k < 2:
+        return ClosureReport(PointSet(n, frozenset(points)), clone.complete, k)
+    # columns[i] holds every function's value at the i-th point
+    columns = list(zip(*clone.functions))
+    y_columns = [columns[point_index(sg.order, p)] for p in pts.members]
+    fingerprints = zip(*y_columns) if y_columns else [()] * k
+    first = {}
+    first_index = [first.setdefault(fp, j) for j, fp in enumerate(fingerprints)]
+    # each function's value replaced by that of the first in its group
+    as_first = itemgetter(*first_index)
+    members = frozenset(p for p, column in zip(points, columns) if as_first(column) == column)
     return ClosureReport(PointSet(n, members), clone.complete, k)
 
 
@@ -329,14 +331,16 @@ def _witness_certificate(
         return None
     idem = choices[0]
     equations = kind.equations(sg, idem)
+    arity = equations[0].arity
     try:
-        _check_bound(kind.subject, sg.order, equations[0].arity, max_points)
+        _check_bound(kind.subject, sg.order, arity, max_points)
     except BoundExceededError as exc:
         return Unknown(str(exc))
+    # called as closure() calls it, so that closure() finds it in the cache
+    if not clone_closure(sg, arity, max_cells).complete:
+        return Unknown("clone truncated; closure is not exact")
     u = _union_of(sg, equations, max_points)
     report = closure(sg, u, max_points=max_points, max_cells=max_cells)
-    if not report.exact:
-        return Unknown("clone truncated; closure is not exact")
     extra = report.points.members - u.members
     witness = kind.witness(sg, idem)
     if witness is None:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 
-import numpy as np
-
 DEFAULT_MAX_CELLS = 5_000_000
 # Most literals a parsed term may have after '^k' expansion, and deepest
 # parenthesis nesting; keeps the recursive parse, flatten, variables_of and
@@ -338,13 +336,6 @@ class CloneResult:
     complete: bool
     order: int
     arity: int
-
-    @cached_property
-    def value_matrix(self) -> np.ndarray:
-        """Row k = value table of functions[k]; dtype int16 (orders are small)."""
-        if not self.functions:
-            return np.empty((0, self.order ** self.arity), dtype=np.int16)
-        return np.array(self.functions, dtype=np.int16)
 
     @cached_property
     def tables(self) -> frozenset[tuple[int, ...]]:

@@ -1,7 +1,13 @@
 """Command line behavior: output text, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import eqdom
 from eqdom.cli import main
 
 CHAIN2_TEXT = """\
@@ -12,7 +18,10 @@ row f: f f
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad flags this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -130,6 +139,9 @@ def test_point_parsing_errors(capsys):
     assert code == 2 and "--arity 2" in err
     code, _, err = run(capsys, "closure", "--catalog", "chain2", "()")
     assert code == 2 and "empty point" in err
+    for value in ("-5", "0"):
+        code, out, err = run(capsys, "closure", "--catalog", "chain2", "--max-cells", value, "e")
+        assert code == 2 and out == "" and "argument --max-cells" in err
 
 
 def test_verify_chain2_full_output(capsys):
@@ -230,6 +242,9 @@ def test_equation_text_errors(capsys):
         capsys, "solve", "--catalog", "chain2", "--arity", "1", "--eq", "x2 = e"
     )
     assert code == 2 and "out of range" in err
+    for flag, value in (("--arity", "-3"), ("--arity", "0"), ("--max-cells", "-5")):
+        code, out, err = run(capsys, "solve", "--catalog", "chain2", flag, value, "--eq", "e=e")
+        assert code == 2 and out == "" and f"argument {flag}" in err
 
 
 def test_output_is_deterministic(capsys):
@@ -268,3 +283,26 @@ def test_solve_respects_the_point_bound(capsys):
         "solutions: unknown (solution set over arity 5000 needs more than 2^64 points, "
         "bound is 20000)\n"
     )
+    # S^arity is one point on the trivial semigroup, but a point too long to build
+    for argv in (("--arity", "100000", "--eq", "x1 = e"), ("--eq", "x100000 = e")):
+        code, out, _ = run(capsys, "solve", "--catalog", "trivial", *argv)
+        assert code == 3
+        assert out.endswith(
+            "arity: 100000\n"
+            "solutions: unknown (solution set over arity 100000 needs points of "
+            "100000 coordinates, bound is 20000)\n"
+        )
+
+
+def test_import_loads_no_numpy():
+    # eqdom has no runtime dependency, so a CLI call must not pay for numpy
+    src = str(Path(eqdom.__file__).resolve().parents[1])
+    code = (
+        "import sys, eqdom, eqdom.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"
