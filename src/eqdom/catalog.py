@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from string import ascii_lowercase
 
@@ -12,24 +13,24 @@ from .semigroup import FiniteInverseSemigroup, validate
 _CHAIN_NAMES = ascii_lowercase[ascii_lowercase.index("e"):]
 
 
-def chain_semilattice(k: int, label: str = "") -> FiniteInverseSemigroup:
+def chain_semilattice(k: int) -> FiniteInverseSemigroup:
     """The k-chain e > f > ... under meet; every element idempotent."""
     if not 1 <= k <= len(_CHAIN_NAMES):
         raise ValueError(f"chain size must be between 1 and {len(_CHAIN_NAMES)}")
     names = tuple(_CHAIN_NAMES[:k])
     table = [[max(i, j) for j in range(k)] for i in range(k)]
-    return validate(names, table, label or f"chain{k}")
+    return validate(names, table)
 
 
-def cyclic_group(n: int, label: str = "") -> FiniteInverseSemigroup:
+def cyclic_group(n: int) -> FiniteInverseSemigroup:
     if not 1 <= n <= 100:
         raise ValueError("cyclic group size must be between 1 and 100")
     names = tuple(["1", "a"][:n]) if n <= 2 else ("1", "a", *(f"a{k}" for k in range(2, n)))
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return validate(names, table, label or f"z{n}")
+    return validate(names, table)
 
 
-def group_with_zero(n: int, label: str = "") -> FiniteInverseSemigroup:
+def group_with_zero(n: int) -> FiniteInverseSemigroup:
     """A cyclic group of order n with an absorbing zero adjoined."""
     if not 1 <= n <= 99:
         raise ValueError("group part must have between 1 and 99 elements")
@@ -38,10 +39,10 @@ def group_with_zero(n: int, label: str = "") -> FiniteInverseSemigroup:
     names = g.names + ("0",)
     table = [[g.table[i][j] for j in range(n)] + [z] for i in range(n)]
     table.append([z] * (n + 1))
-    return validate(names, table, label or f"z{n}_zero")
+    return validate(names, table)
 
 
-def brandt_b2(label: str = "brandt_b2") -> FiniteInverseSemigroup:
+def brandt_b2() -> FiniteInverseSemigroup:
     """The five-element Brandt semigroup of 2x2 matrix units plus zero."""
     units = [(1, 1), (1, 2), (2, 1), (2, 2)]
     names = tuple(f"e{i}{j}" for i, j in units) + ("0",)
@@ -51,10 +52,10 @@ def brandt_b2(label: str = "brandt_b2") -> FiniteInverseSemigroup:
         for b, (k, l) in enumerate(units):
             if j == k:
                 table[a][b] = units.index((i, l))
-    return validate(names, table, label)
+    return validate(names, table)
 
 
-def symmetric_inverse_monoid(n: int, label: str = "") -> FiniteInverseSemigroup:
+def symmetric_inverse_monoid(n: int) -> FiniteInverseSemigroup:
     """All partial injections on an n-point set under right-action composition.
 
     Element names concatenate the image labels in ground order with '_' for
@@ -74,11 +75,11 @@ def symmetric_inverse_monoid(n: int, label: str = "") -> FiniteInverseSemigroup:
         [index[partialmap.compose(f, g)] for g in maps]
         for f in maps
     ]
-    return validate(names, table, label or f"sim{n}")
+    return validate(names, table)
 
 
 _FACTORIES = {
-    "trivial": lambda: chain_semilattice(1, label="trivial"),
+    "trivial": lambda: chain_semilattice(1),
     "chain2": lambda: chain_semilattice(2),
     "chain3": lambda: chain_semilattice(3),
     "z2": lambda: cyclic_group(2),
@@ -95,9 +96,10 @@ CATALOG_NAMES = tuple(_FACTORIES)
 
 @lru_cache(maxsize=None)
 def by_name(name: str) -> FiniteInverseSemigroup:
+    """The catalog entry called name, labelled with that name."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         known = " ".join(CATALOG_NAMES)
         raise ValueError(f"unknown catalog name {name!r} (known: {known})") from None
-    return factory()
+    return replace(factory(), label=name)

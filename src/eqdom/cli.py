@@ -30,14 +30,13 @@ from .catalog import CATALOG_NAMES, by_name
 from .partialmap import domain_of, render
 from .semigroup import (
     SemigroupError,
-    TableFormatError,
     find_incomparable_pair,
     hasse_dot,
     is_group,
     load_semigroup,
     wagner_preston,
 )
-from .terms import DEFAULT_MAX_CELLS, ParseError, flatten, parse, term_text
+from .terms import DEFAULT_MAX_CELLS, flatten, parse, term_text
 
 
 class InputError(Exception):
@@ -123,9 +122,11 @@ def _parse_point(sg, text: str) -> tuple[int, ...]:
     inner = text.strip()
     if inner.startswith("(") and inner.endswith(")"):
         inner = inner[1:-1]
-    names = [nm.strip() for nm in inner.split(",") if nm.strip()]
-    if not names:
+    names = [nm.strip() for nm in inner.split(",")]
+    if names == [""]:
         raise InputError(f"empty point: {text!r}")
+    if "" in names:
+        raise InputError(f"empty coordinate in point: {text!r}")
     try:
         return tuple(sg.index(nm) for nm in names)
     except SemigroupError as exc:
@@ -340,12 +341,8 @@ def main(argv=None) -> int:
         args.table = None
     try:
         sg = _load(args)
-    except (InputError, SemigroupError, TableFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         return _COMMANDS[args.command](args, sg, sys.stdout)
-    except (InputError, ParseError, SemigroupError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ from typing import Callable
 from .semigroup import (
     FiniteInverseSemigroup,
     incomparable_pairs,
+    is_chain,
     is_group,
     natural_order,
 )
@@ -31,7 +32,7 @@ from .terms import (
     variables_of,
 )
 
-DEFAULT_MAX_POINTS = 20_000
+MAX_POINTS = 20_000
 
 
 class BoundExceededError(ValueError):
@@ -47,23 +48,23 @@ class CertificateError(RuntimeError):
     """A certificate failed re-validation."""
 
 
-def _check_bound(what: str, order: int, arity: int, max_points: int) -> None:
+def _check_bound(what: str, order: int, arity: int) -> None:
     # a count past 2^64 is neither computed nor printed: at a large arity
     # that would take more time and memory than the bound is there to save
     huge = (order.bit_length() - 1) * arity > 64
     total = None if huge else order ** arity
-    if huge or total > max_points:
+    if huge or total > MAX_POINTS:
         count = "more than 2^64" if huge else total
         raise BoundExceededError(
-            f"{what} over arity {arity} needs {count} points, bound is {max_points}",
+            f"{what} over arity {arity} needs {count} points, bound is {MAX_POINTS}",
             required=total,
         )
     # only a one-element S passes the count above at such an arity, and its
     # one point still has arity coordinates
-    if arity > max_points:
+    if arity > MAX_POINTS:
         raise BoundExceededError(
             f"{what} over arity {arity} needs points of {arity} coordinates, "
-            f"bound is {max_points}",
+            f"bound is {MAX_POINTS}",
             required=total,
         )
 
@@ -115,18 +116,13 @@ def point_text(sg: FiniteInverseSemigroup, p: tuple[int, ...]) -> str:
     return "(" + ",".join(sg.names[i] for i in p) + ")"
 
 
-def solution_set(
-    sg: FiniteInverseSemigroup,
-    system: EquationSystem,
-    *,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> PointSet:
+def solution_set(sg: FiniteInverseSemigroup, system: EquationSystem) -> PointSet:
     """All points of S^arity satisfying every equation, by direct evaluation.
 
     Raises BoundExceededError before evaluating anything when S^arity has
-    more than max_points points, or the arity itself exceeds max_points.
+    more than MAX_POINTS points, or the arity itself exceeds MAX_POINTS.
     """
-    _check_bound("solution set", sg.order, system.arity, max_points)
+    _check_bound("solution set", sg.order, system.arity)
     flat = [
         (flatten(sg, eq.lhs), flatten(sg, eq.rhs)) for eq in system.equations
     ]
@@ -154,7 +150,6 @@ def closure(
     sg: FiniteInverseSemigroup,
     pts: PointSet,
     *,
-    max_points: int = DEFAULT_MAX_POINTS,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> ClosureReport:
     """Least algebraic superset of pts (exact only if the clone completed).
@@ -168,7 +163,7 @@ def closure(
     be unsound: callers get exact=False and must answer unknown.
     """
     n = pts.arity
-    _check_bound("closure", sg.order, n, max_points)
+    _check_bound("closure", sg.order, n)
     clone = clone_closure(sg, n, max_cells)
     k = len(clone.functions)
     points = all_points(sg.order, n)
@@ -197,12 +192,11 @@ def is_algebraic(
     sg: FiniteInverseSemigroup,
     pts: PointSet,
     *,
-    max_points: int = DEFAULT_MAX_POINTS,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> AlgebraicVerdict:
     """Is pts the solution set of some system?  "no" carries a witness point
     of closure(pts) minus pts; an inexact closure answers "unknown"."""
-    report = closure(sg, pts, max_points=max_points, max_cells=max_cells)
+    report = closure(sg, pts, max_cells=max_cells)
     if not report.exact:
         return AlgebraicVerdict("unknown", None, report)
     if report.points.members == pts.members:
@@ -280,9 +274,9 @@ class WitnessKind:
 
 
 def _chain_extremes(sg: FiniteInverseSemigroup) -> tuple[tuple[int, int], ...]:
-    order = natural_order(sg)
-    if is_group(sg) or not order.is_chain():
+    if is_group(sg) or not is_chain(sg):
         return ()
+    order = natural_order(sg)
     return (order.maximal() + order.minimal(),)
 
 
@@ -312,16 +306,13 @@ WITNESS_KINDS: dict[str, WitnessKind] = {
 }
 
 
-def _union_of(sg, equations, max_points: int) -> PointSet:
-    a, b = (
-        solution_set(sg, EquationSystem((eq,)), max_points=max_points)
-        for eq in equations
-    )
+def _union_of(sg, equations) -> PointSet:
+    a, b = (solution_set(sg, EquationSystem((eq,))) for eq in equations)
     return union(a, b)
 
 
 def _witness_certificate(
-    sg: FiniteInverseSemigroup, kind_name: str, max_points: int, max_cells: int
+    sg: FiniteInverseSemigroup, kind_name: str, max_cells: int
 ) -> Certificate | Unknown | None:
     """The certificate of one witness kind: None when the kind does not apply
     or its union is algebraic, Unknown when the bounds are too small."""
@@ -333,14 +324,14 @@ def _witness_certificate(
     equations = kind.equations(sg, idem)
     arity = equations[0].arity
     try:
-        _check_bound(kind.subject, sg.order, arity, max_points)
+        _check_bound(kind.subject, sg.order, arity)
     except BoundExceededError as exc:
         return Unknown(str(exc))
     # called as closure() calls it, so that closure() finds it in the cache
     if not clone_closure(sg, arity, max_cells).complete:
         return Unknown("clone truncated; closure is not exact")
-    u = _union_of(sg, equations, max_points)
-    report = closure(sg, u, max_points=max_points, max_cells=max_cells)
+    u = _union_of(sg, equations)
+    report = closure(sg, u, max_cells=max_cells)
     extra = report.points.members - u.members
     witness = kind.witness(sg, idem)
     if witness is None:
@@ -356,8 +347,7 @@ def _witness_certificate(
 
 
 def lemma4_check(
-    sg: FiniteInverseSemigroup, *,
-    max_points: int = DEFAULT_MAX_POINTS, max_cells: int = DEFAULT_MAX_CELLS,
+    sg: FiniteInverseSemigroup, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> Certificate | Unknown | None:
     """Certificate from an incomparable idempotent pair, or None on a chain.
 
@@ -365,12 +355,11 @@ def lemma4_check(
     that holds on all of V(x1=e) union V(x1=f), so ef lies in the closure of
     that union while ef is neither e nor f: the union is not algebraic.
     """
-    return _witness_certificate(sg, "IncomparableWitness", max_points, max_cells)
+    return _witness_certificate(sg, "IncomparableWitness", max_cells)
 
 
 def lemma5_check(
-    sg: FiniteInverseSemigroup, *,
-    max_points: int = DEFAULT_MAX_POINTS, max_cells: int = DEFAULT_MAX_CELLS,
+    sg: FiniteInverseSemigroup, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> Certificate | Unknown | None:
     """Certificate from a two-element chain e > f, or None for groups and
     non-chains.
@@ -379,18 +368,17 @@ def lemma5_check(
     every equation holding on all of V(x1=e) union V(x2=e) in S^2, yet lies
     in neither part: that union is not algebraic either.
     """
-    return _witness_certificate(sg, "ChainWitness", max_points, max_cells)
+    return _witness_certificate(sg, "ChainWitness", max_cells)
 
 
 def rosenblatt_check(
-    sg: FiniteInverseSemigroup, *,
-    max_points: int = DEFAULT_MAX_POINTS, max_cells: int = DEFAULT_MAX_CELLS,
+    sg: FiniteInverseSemigroup, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> Certificate | Unknown | None:
     """Is the union {x1=x2} or {x3=x4} in S^4 algebraic?  None when it is
     (e.g. over the trivial group); a certificate with the least witness point
     when it is not, which is the expected outcome for every inverse
     non-group."""
-    return _witness_certificate(sg, "RosenblattWitness", max_points, max_cells)
+    return _witness_certificate(sg, "RosenblattWitness", max_cells)
 
 
 @dataclass(frozen=True)
@@ -405,12 +393,7 @@ class Verdict:
         return bool(self.certificates)
 
 
-def ed_verdict(
-    sg: FiniteInverseSemigroup,
-    *,
-    max_points: int = DEFAULT_MAX_POINTS,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> Verdict:
+def ed_verdict(sg: FiniteInverseSemigroup, *, max_cells: int = DEFAULT_MAX_CELLS) -> Verdict:
     """Equational-domain verdict.
 
     Groups are out of scope (their classification is a separate known
@@ -430,9 +413,9 @@ def ed_verdict(
     if sg.zero is not None:
         certificates.append(Certificate("ZeroPresent", sg.label, (sg.zero,)))
     # lemma4 applies exactly when the idempotents are not a chain
-    computed = lemma4_check(sg, max_points=max_points, max_cells=max_cells)
+    computed = lemma4_check(sg, max_cells=max_cells)
     if computed is None:
-        computed = lemma5_check(sg, max_points=max_points, max_cells=max_cells)
+        computed = lemma5_check(sg, max_cells=max_cells)
     if isinstance(computed, Certificate):
         certificates.append(computed)
     elif isinstance(computed, Unknown):
@@ -444,7 +427,6 @@ def validate_certificate(
     sg: FiniteInverseSemigroup,
     cert: Certificate,
     *,
-    max_points: int = DEFAULT_MAX_POINTS,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> None:
     """Recheck a certificate from scratch; raises CertificateError on any gap.
@@ -475,13 +457,13 @@ def validate_certificate(
         raise CertificateError(f"unknown certificate kind {cert.kind!r}")
     if cert.idempotents not in kind.choices(sg):
         raise CertificateError(f"{cert.kind} cannot name these idempotents")
-    expected_union = _union_of(sg, kind.equations(sg, cert.idempotents), max_points)
+    expected_union = _union_of(sg, kind.equations(sg, cert.idempotents))
     if cert.union is None or cert.union.members != expected_union.members:
         raise CertificateError("recorded union does not match its definition")
     rule = kind.witness(sg, cert.idempotents)
     if rule is not None and cert.witness != rule:
         raise CertificateError("witness does not follow the rule of its kind")
-    report = closure(sg, expected_union, max_points=max_points, max_cells=max_cells)
+    report = closure(sg, expected_union, max_cells=max_cells)
     if not report.exact:
         raise CertificateError("closure no longer exact under the given bounds")
     if cert.witness in expected_union.members:
@@ -494,6 +476,8 @@ def validate_certificate(
         raise CertificateError("witness certificates must record exact=true")
 
 
-def validate_verdict(sg: FiniteInverseSemigroup, verdict: Verdict, **bounds) -> None:
+def validate_verdict(
+    sg: FiniteInverseSemigroup, verdict: Verdict, *, max_cells: int = DEFAULT_MAX_CELLS
+) -> None:
     for cert in verdict.certificates:
-        validate_certificate(sg, cert, **bounds)
+        validate_certificate(sg, cert, max_cells=max_cells)

@@ -69,19 +69,6 @@ def evaluate_good(semigroup, good: GoodTerm, e: int) -> int:
     return acc
 
 
-def format_good(semigroup, good: GoodTerm, var: str = "x") -> str:
-    if good.is_var_only:
-        return var
-    parts = []
-    for s in good.conjugators:
-        if s is None:
-            parts.append(f"({var})")
-        else:
-            nm = semigroup.names[s]
-            parts.append(f"({nm} {var} {nm}^-1)")
-    return "".join(parts)
-
-
 @dataclass(frozen=True)
 class NormalizedUnary:
     good: GoodTerm
@@ -93,13 +80,6 @@ class NormalizedBinary:
     good_x: GoodTerm
     good_y: GoodTerm
     tail: int | None
-
-
-def format_normalized_unary(semigroup, nf: NormalizedUnary, var: str = "x") -> str:
-    body = format_good(semigroup, nf.good, var)
-    if nf.tail is None:
-        return body
-    return f"{body} * {semigroup.names[nf.tail]}"
 
 
 def _segments(flat: FlatTerm, semigroup):

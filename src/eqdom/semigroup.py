@@ -186,12 +186,6 @@ class IdempotentOrder:
     def leq(self, e: int, f: int) -> bool:
         return (e, f) in self.pairs
 
-    def is_chain(self) -> bool:
-        return all(
-            self.leq(e, f) or self.leq(f, e)
-            for e in self.elements for f in self.elements
-        )
-
     def minimal(self) -> tuple[int, ...]:
         return tuple(
             e for e in self.elements
@@ -355,8 +349,8 @@ def parse_cayley_table(text: str) -> tuple[tuple[str, ...], list[list[int]]]:
     return names, [rows[nm] for nm in names]
 
 
-def load_semigroup(path: str, label: str | None = None) -> FiniteInverseSemigroup:
+def load_semigroup(path: str) -> FiniteInverseSemigroup:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     names, table = parse_cayley_table(text)
-    return validate(names, table, label if label is not None else os.path.basename(path))
+    return validate(names, table, os.path.basename(path))

@@ -370,30 +370,19 @@ def clone_closure(semigroup, arity: int, max_cells: int = DEFAULT_MAX_CELLS) -> 
         generators.append(tuple(inv[p[i]] for p in points))
     for c in range(order):
         generators.append((c,) * cells)
+    generators = list(dict.fromkeys(generators))
+    if len(generators) > limit:
+        return CloneResult(tuple(generators[:limit]), False, order, arity)
 
-    seen: set[tuple[int, ...]] = set()
-    values: list[tuple[int, ...]] = []
-    complete = True
-
-    def try_add(vals) -> None:
-        nonlocal complete
-        if vals in seen:
-            return
-        if len(values) >= limit:
-            complete = False
-            return
-        seen.add(vals)
-        values.append(vals)
-
-    for gvals in generators:
-        try_add(gvals)
-    i = 0
-    while i < len(values) and complete:
-        fv = values[i]
+    values = list(generators)
+    seen = set(values)
+    # values grows while it is iterated: the worklist, in orbit order
+    for fv in values:
         for gvals in generators:
             prod = tuple(table[a][b] for a, b in zip(fv, gvals))
             if prod not in seen:
-                try_add(prod)
-        i += 1
-
-    return CloneResult(tuple(values), complete, order, arity)
+                if len(values) >= limit:
+                    return CloneResult(tuple(values), False, order, arity)
+                seen.add(prod)
+                values.append(prod)
+    return CloneResult(tuple(values), True, order, arity)

@@ -59,6 +59,9 @@ def test_hasse_stdout_and_file(capsys, tmp_path):
     assert code == 0
     assert f"wrote {target}" in out
     assert '"f" -> "e";' in target.read_text(encoding="utf-8")
+    missing = tmp_path / "absent" / "order.dot"
+    code, out, err = run(capsys, "hasse", "--catalog", "chain2", "--dot", str(missing))
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_embed_chain2(capsys):
@@ -139,6 +142,9 @@ def test_point_parsing_errors(capsys):
     assert code == 2 and "--arity 2" in err
     code, _, err = run(capsys, "closure", "--catalog", "chain2", "()")
     assert code == 2 and "empty point" in err
+    for point in ("(e,,f)", "(e,)"):
+        code, out, err = run(capsys, "closure", "--catalog", "chain2", point)
+        assert code == 2 and out == "" and "empty coordinate" in err
     for value in ("-5", "0"):
         code, out, err = run(capsys, "closure", "--catalog", "chain2", "--max-cells", value, "e")
         assert code == 2 and out == "" and "argument --max-cells" in err
@@ -229,6 +235,10 @@ def test_input_source_errors(capsys, tmp_path):
     bad.write_text("elements e f\nrow e: e\n", encoding="utf-8")
     code, _, err = run(capsys, "info", str(bad))
     assert code == 2 and "line 2" in err
+    not_utf8 = tmp_path / "binary.tbl"
+    not_utf8.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "info", str(not_utf8))
+    assert code == 2 and out == "" and "utf-8" in err
 
 
 def test_equation_text_errors(capsys):

@@ -9,9 +9,8 @@ from eqdom.catalog import by_name
 from eqdom.goodterms import (
     VAR_ONLY,
     GoodTerm,
+    NormalizedUnary,
     evaluate_good,
-    format_good,
-    format_normalized_unary,
     normalize_binary,
     normalize_unary,
 )
@@ -135,13 +134,10 @@ def test_good_value_is_monotone():
 
 
 def test_formatting():
-    assert format_good(SIM2, VAR_ONLY) == "x"
-    assert format_good(SIM2, GoodTerm((None,))) == "(x)"
-    assert format_good(SIM2, GoodTerm((S, S))) == "(2_ x 2_^-1)(2_ x 2_^-1)"
     nf = normalize_unary(SIM2, flatten(SIM2, parse("2_ x1 x1", 1, SIM2)))
-    assert format_normalized_unary(SIM2, nf) == "(2_ x 2_^-1)(2_ x 2_^-1) * 2_"
+    assert nf == NormalizedUnary(GoodTerm((S, S)), S)
     bare = normalize_unary(SIM2, flatten(SIM2, parse("x1", 1, SIM2)))
-    assert format_normalized_unary(SIM2, bare, var="y") == "y"
+    assert bare.good == VAR_ONLY and bare.tail is None
 
 
 def test_random_terms_normalize_and_agree_on_idempotents():

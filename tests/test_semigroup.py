@@ -99,7 +99,7 @@ def test_group_flag():
 def test_natural_order_on_chain2():
     order = natural_order(by_name("chain2"))
     assert order.leq(1, 0) and not order.leq(0, 1)
-    assert order.is_chain()
+    assert is_chain(by_name("chain2"))
     assert order.minimal() == (1,)
     assert order.maximal() == (0,)
     assert order.covering_pairs() == ((1, 0),)
@@ -111,7 +111,7 @@ def test_natural_order_on_brandt():
     assert order.elements == (0, 3, 4)
     assert order.leq(4, 0) and order.leq(4, 3)
     assert not order.leq(0, 3) and not order.leq(3, 0)
-    assert not order.is_chain()
+    assert not is_chain(sg)
     assert order.covering_pairs() == ((4, 0), (4, 3))
 
 
@@ -196,8 +196,6 @@ def test_load_semigroup_defaults_label_to_basename(tmp_path):
     sg = load_semigroup(str(path))
     assert sg.label == "two_chain.tbl"
     assert sg.table == by_name("chain2").table
-    named = load_semigroup(str(path), label="other")
-    assert named.label == "other"
 
 
 def test_index_rejects_unknown_names():
