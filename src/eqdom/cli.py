@@ -66,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-header", action="store_true", help="suppress the version line")
         p.add_argument(
             "--max-cells", type=_positive_int, default=DEFAULT_MAX_CELLS, metavar="N",
-            help="clone size cap in table cells (default %(default)s)",
+            help="closure cap per answer: subalgebra vectors times input points "
+            "(default %(default)s)",
         )
         if needs_arity:
             p.add_argument(

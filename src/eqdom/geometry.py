@@ -8,8 +8,9 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable
 
 from .semigroup import (
@@ -25,10 +26,8 @@ from .terms import (
     Term,
     Var,
     all_points,
-    clone_closure,
     evaluate,
     flatten,
-    point_index,
     variables_of,
 )
 
@@ -143,7 +142,78 @@ def union(a: PointSet, b: PointSet) -> PointSet:
 class ClosureReport:
     points: PointSet
     exact: bool
-    clone_size: int
+
+
+def _generator_values(sg: FiniteInverseSemigroup, q: tuple[int, ...]) -> tuple[int, ...]:
+    """The clone's generators at point q: x1, x1^-1, ..., xn, xn^-1, then the
+    constants of an inverse-closed generating set of S (their products give
+    every constant, so the clone is the same as with all of S)."""
+    inv = sg.inv
+    return (*(v for c in q for v in (c, inv[c])), *sg.generating_set)
+
+
+def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
+    """B, the subalgebra of S^ys generated by the generators' columns, as its
+    right Cayley graph; None once |B| * |ys| would exceed max_cells.
+
+    Returns (roots, levels, steps): roots[j] is the vector of generator j;
+    levels lists the other vectors level by level of the orbit, each level
+    as its vectors' (parent vectors, generators), the product that first
+    reached them; steps[j] picks, from any list indexed by vector, the
+    entries of every vector times generator j.
+    """
+    width = 2 * arity + len(sg.generating_set)
+    columns = list(zip(*(_generator_values(sg, y) for y in ys))) or [()] * width
+    index: dict[tuple[int, ...], int] = {}
+    roots = [index.setdefault(column, len(index)) for column in columns]
+    if len(index) * len(ys) > max_cells:
+        return None
+    vectors = list(index)
+    parents: list[tuple[int, int]] = []
+    steps: list[list[int]] = [[] for _ in columns]
+    table = sg.table
+    # vectors grows while it is iterated: the worklist, in orbit order
+    for v, vector in enumerate(vectors):
+        rows = [table[a] for a in vector]
+        for j, (column, step) in enumerate(zip(columns, steps)):
+            product = tuple(map(getitem, rows, column))
+            w = index.get(product)
+            if w is None:
+                w = len(vectors)
+                if (w + 1) * len(ys) > max_cells:
+                    return None
+                index[product] = w
+                vectors.append(product)
+                parents.append((v, j))
+            step.append(w)
+    # parents only grow along the orbit, so each level is the run of
+    # vectors whose parents lie in the level before it
+    levels = []
+    r = len(vectors) - len(parents)
+    start, end = 0, r
+    while end < len(vectors):
+        start, end = end, r + bisect_left(parents, (end, 0))
+        levels.append(tuple(zip(*parents[start - r:end - r])))
+    return roots, levels, [itemgetter(*step) for step in steps]
+
+
+def _extends_to(sg: FiniteInverseSemigroup, graph, q: tuple[int, ...], columns) -> bool:
+    """Does t|ys -> t(q) define a map phi on B?  phi is built level by level
+    from each vector's parent and must agree at every generator and on
+    every edge: phi(v g) = phi(v) g(q)."""
+    roots, levels, steps = graph
+    at_q = _generator_values(sg, q)
+    phi: list = [None] * (max(roots) + 1)
+    for r, value in zip(roots, at_q):
+        if phi[r] not in (None, value):
+            return False
+        phi[r] = value
+    # a level's parents lie in earlier levels, which phi already holds
+    for vs, gs in levels:
+        parent_rows = map(sg.table.__getitem__, map(phi.__getitem__, vs))
+        phi += map(getitem, parent_rows, map(at_q.__getitem__, gs))
+    times = itemgetter(*phi)  # times(columns[g]) is phi(v) g for every v
+    return all(step(phi) == times(columns[g]) for step, g in zip(steps, at_q))
 
 
 def closure(
@@ -152,33 +222,70 @@ def closure(
     *,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> ClosureReport:
-    """Least algebraic superset of pts (exact only if the clone completed).
+    """Least algebraic superset of pts, decided inside S^pts.
 
-    Two term functions that agree on pts must agree on any algebraic set
-    containing pts, so the closure is the set of points where every
-    pts-agreeing pair still agrees.  Functions are grouped by their value
-    fingerprint on pts; within each group all members must coincide.  With a
-    truncated clone the constraint set is smaller, so the result is a
-    superset of the true closure and only "yes, algebraic" conclusions would
-    be unsound: callers get exact=False and must answer unknown.
+    Two term functions that agree on pts agree on every algebraic set
+    containing pts, so a point q lies in the closure exactly when t|pts ->
+    t(q) is a well-defined map on B, the subalgebra of S^pts of the term
+    functions' restrictions (subpower membership; Bulatov, Mayr and Steindl,
+    IJAC 2016).  B is built once; each point then costs one pass over its
+    graph.  When B would exceed max_cells cells (vectors times |pts|) every
+    point is kept and exact=False: a superset of the true closure, so only
+    "yes, algebraic" would be unsound and callers must answer unknown.
     """
     n = pts.arity
     _check_bound("closure", sg.order, n)
-    clone = clone_closure(sg, n, max_cells)
-    k = len(clone.functions)
     points = all_points(sg.order, n)
-    if k < 2:
-        return ClosureReport(PointSet(n, frozenset(points)), clone.complete, k)
-    # columns[i] holds every function's value at the i-th point
-    columns = list(zip(*clone.functions))
-    y_columns = [columns[point_index(sg.order, p)] for p in pts.members]
-    fingerprints = zip(*y_columns) if y_columns else [()] * k
-    first = {}
-    first_index = [first.setdefault(fp, j) for j, fp in enumerate(fingerprints)]
-    # each function's value replaced by that of the first in its group
-    as_first = itemgetter(*first_index)
-    members = frozenset(p for p, column in zip(points, columns) if as_first(column) == column)
-    return ClosureReport(PointSet(n, members), clone.complete, k)
+    graph = _subpower(sg, n, sorted(pts.members), max_cells)
+    if graph is None:
+        return ClosureReport(PointSet(n, frozenset(points)), False)
+    # columns[g][a] = a g: right multiplication by g
+    columns = list(zip(*sg.table))
+    members = frozenset(
+        q for q in points if q in pts.members or _extends_to(sg, graph, q, columns)
+    )
+    return ClosureReport(PointSet(n, members), True)
+
+
+def in_subpower_closure(
+    sg: FiniteInverseSemigroup,
+    ys: frozenset[tuple[int, ...]],
+    p: tuple[int, ...],
+    *,
+    max_cells: int = DEFAULT_MAX_CELLS,
+) -> bool | None:
+    """Does p lie in the closure of ys?  None when the subalgebra outgrows
+    max_cells cells (vectors times |ys|).
+
+    A check of one point kept apart from closure(): p is in the closure iff
+    the subalgebra of S^(ys + [p]) generated by the literal columns and all
+    |S| constant columns projects injectively onto the ys coordinates
+    (Bulatov, Mayr and Steindl, IJAC 2016).
+    """
+    coords = sorted(ys) + [p]
+    gens = [(c,) * len(coords) for c in range(sg.order)]
+    for i in range(len(p)):
+        gens.append(tuple(q[i] for q in coords))
+        gens.append(tuple(sg.inv[q[i]] for q in coords))
+    queue: list[tuple[int, ...]] = []
+    at_p: dict[tuple[int, ...], int] = {}  # each vector's value at p, by its ys part
+
+    def products():
+        yield from gens
+        for v in queue:  # queue grows while this runs: the worklist
+            rows = [sg.table[a] for a in v]
+            for g in gens:
+                yield tuple(map(getitem, rows, g))
+
+    for v in products():
+        seen = at_p.setdefault(v[:-1], v[-1])
+        if seen != v[-1]:
+            return False
+        if len(at_p) > len(queue):
+            if len(at_p) * len(ys) > max_cells:
+                return None
+            queue.append(v)
+    return True
 
 
 @dataclass(frozen=True)
@@ -327,11 +434,10 @@ def _witness_certificate(
         _check_bound(kind.subject, sg.order, arity)
     except BoundExceededError as exc:
         return Unknown(str(exc))
-    # called as closure() calls it, so that closure() finds it in the cache
-    if not clone_closure(sg, arity, max_cells).complete:
-        return Unknown("clone truncated; closure is not exact")
     u = _union_of(sg, equations)
     report = closure(sg, u, max_cells=max_cells)
+    if not report.exact:
+        return Unknown("clone truncated; closure is not exact")
     extra = report.points.members - u.members
     witness = kind.witness(sg, idem)
     if witness is None:
@@ -432,9 +538,11 @@ def validate_certificate(
     """Recheck a certificate from scratch; raises CertificateError on any gap.
 
     Witness kinds recheck that the kind may name the recorded idempotents,
-    recompute the union and its closure, and re-verify the witness rule and
-    the membership facts; ZeroPresent re-verifies the absorbing law; and
-    GroupOutOfScope re-verifies the single idempotent.
+    recompute the union and re-verify the witness rule; the witness must
+    fail both equations (evaluated directly) and pass in_subpower_closure,
+    a one-point check apart from closure(), which only confirms the closure
+    size.  ZeroPresent re-verifies the absorbing law, and GroupOutOfScope
+    the single idempotent.
     """
     if cert.kind == "GroupOutOfScope":
         if not is_group(sg):
@@ -457,18 +565,23 @@ def validate_certificate(
         raise CertificateError(f"unknown certificate kind {cert.kind!r}")
     if cert.idempotents not in kind.choices(sg):
         raise CertificateError(f"{cert.kind} cannot name these idempotents")
-    expected_union = _union_of(sg, kind.equations(sg, cert.idempotents))
+    equations = kind.equations(sg, cert.idempotents)
+    expected_union = _union_of(sg, equations)
     if cert.union is None or cert.union.members != expected_union.members:
         raise CertificateError("recorded union does not match its definition")
     rule = kind.witness(sg, cert.idempotents)
     if rule is not None and cert.witness != rule:
         raise CertificateError("witness does not follow the rule of its kind")
-    report = closure(sg, expected_union, max_cells=max_cells)
-    if not report.exact:
-        raise CertificateError("closure no longer exact under the given bounds")
-    if cert.witness in expected_union.members:
+    w = cert.witness
+    if w is None or len(w) != expected_union.arity or not all(0 <= c < sg.order for c in w):
+        raise CertificateError("witness is not a point of the union's arity")
+    if any(evaluate(sg, eq.lhs, w) == evaluate(sg, eq.rhs, w) for eq in equations):
         raise CertificateError("witness lies inside the union")
-    if cert.witness not in report.points.members:
+    member = in_subpower_closure(sg, expected_union.members, w, max_cells=max_cells)
+    report = closure(sg, expected_union, max_cells=max_cells)
+    if member is None or not report.exact:
+        raise CertificateError("closure no longer exact under the given bounds")
+    if not member:
         raise CertificateError("witness is not in the closure of the union")
     if cert.closure_size != len(report.points.members):
         raise CertificateError("recorded closure size does not match")

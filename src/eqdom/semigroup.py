@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .partialmap import GroundSet, PartialInjection, compose, inverse as pinv
 
@@ -80,6 +81,32 @@ class FiniteInverseSemigroup:
     def __repr__(self) -> str:
         tag = self.label or "anonymous"
         return f"<FiniteInverseSemigroup {tag} order={self.order}>"
+
+    @cached_property
+    def idempotent_order(self) -> IdempotentOrder:
+        """The natural order of the idempotents, built once per semigroup."""
+        return _build_natural_order(self)
+
+    @cached_property
+    def generating_set(self) -> tuple[int, ...]:
+        """An inverse-closed set whose products give every element: each
+        element not yet generated joins, with its inverse, in index order
+        but the identity last, since the others often generate it."""
+        gens: list[int] = []
+        reached: set[int] = set()
+        for s in sorted(range(self.order), key=lambda s: s == self.identity):
+            if s in reached:
+                continue
+            gens.extend(dict.fromkeys((s, self.inv[s])))
+            queue = list(gens)
+            reached = set(queue)
+            for a in queue:  # queue grows while iterated: the worklist
+                for g in gens:
+                    product = self.table[a][g]
+                    if product not in reached:
+                        reached.add(product)
+                        queue.append(product)
+        return tuple(gens)
 
 
 def validate(names, table, label: str = "") -> FiniteInverseSemigroup:
@@ -215,6 +242,11 @@ class IdempotentOrder:
 
 
 def natural_order(sg: FiniteInverseSemigroup) -> IdempotentOrder:
+    """The natural order of sg's idempotents; built once, on first use."""
+    return sg.idempotent_order
+
+
+def _build_natural_order(sg: FiniteInverseSemigroup) -> IdempotentOrder:
     elems = tuple(sorted(sg.idempotents))
     pairs = frozenset(
         (e, f) for e in elems for f in elems if sg.table[e][f] == e

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product as _cartesian
 
 DEFAULT_MAX_CELLS = 5_000_000
@@ -342,7 +342,6 @@ class CloneResult:
         return frozenset(self.functions)
 
 
-@lru_cache(maxsize=64)
 def clone_closure(semigroup, arity: int, max_cells: int = DEFAULT_MAX_CELLS) -> CloneResult:
     """All n-ary term functions, as the least set of value tables containing the
     projections and the constants and closed under pointwise product and

@@ -124,7 +124,7 @@ def test_closure_of_a_closed_set_says_yes(capsys):
 
 def test_closure_unknown_when_truncated(capsys):
     code, out, _ = run(
-        capsys, "closure", "--catalog", "sim3", "--max-cells", "1000", "(123)"
+        capsys, "closure", "--catalog", "sim3", "--max-cells", "10", "(123)"
     )
     assert code == 3
     assert "exact: false\n" in out
@@ -187,7 +187,7 @@ def test_verify_group_is_out_of_scope(capsys):
 
 
 def test_verify_sim3_reports_truncation_but_stays_certified(capsys):
-    code, out, _ = run(capsys, "verify", "--catalog", "sim3")
+    code, out, _ = run(capsys, "verify", "--catalog", "sim3", "--max-cells", "10")
     assert code == 0
     assert "verdict: NotED\n" in out
     assert "truncated: clone truncated; closure is not exact\n" in out

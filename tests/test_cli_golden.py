@@ -2,9 +2,10 @@
 
 tests/cli_golden.json holds one record per invocation: its argv, its exit
 code and its stdout split into lines.  The records cover every subcommand on
-the catalog entries that answer in well under a second, plus bound and
-input-error cases; the slow sim3 verify and closure runs are pinned in
-test_cli.py instead.  A refactor must leave this output byte-identical.
+the catalog entries, bound and input-error cases, and the sim3 verify,
+closure and is-algebraic runs that the closure engine decides exactly.  A
+refactor must leave this output byte-identical; a failure lists every argv
+whose output moved.
 """
 
 import json
@@ -18,7 +19,10 @@ CASES = json.loads(
 
 
 def test_cli_output_matches_the_golden_fixture(capsys):
+    moved = []
     for case in CASES:
         code = main(list(case["argv"]))
         out = capsys.readouterr().out
-        assert (code, out) == (case["exit"], "".join(case["stdout"])), case["argv"]
+        if (code, out) != (case["exit"], "".join(case["stdout"])):
+            moved.append(case["argv"])
+    assert not moved, "output moved for:\n" + "\n".join(" ".join(argv) for argv in moved)

@@ -18,6 +18,7 @@ from eqdom.geometry import (
     closure,
     ed_verdict,
     format_certificate,
+    in_subpower_closure,
     is_algebraic,
     lemma4_check,
     lemma5_check,
@@ -90,7 +91,6 @@ def test_closure_adds_the_zero_on_brandt():
     report = closure(BRANDT, _points(1, (0,), (3,)))
     assert report.exact
     assert report.points.members == {(0,), (3,), (4,)}
-    assert report.clone_size == 62
 
 
 def test_is_algebraic_verdicts():
@@ -98,7 +98,7 @@ def test_is_algebraic_verdicts():
     v = is_algebraic(BRANDT, _points(1, (0,), (3,)))
     assert v.status == "no"
     assert v.witness == (4,)
-    trunc = is_algebraic(by_name("sim3"), _points(1, (0,)), max_cells=1000)
+    trunc = is_algebraic(by_name("sim3"), _points(1, (0,)), max_cells=10)
     assert trunc.status == "unknown"
     assert trunc.witness is None
 
@@ -132,63 +132,104 @@ def test_closure_laws_on_random_sets():
             assert rep.points.members <= closure(sg, z).points.members
 
 
-def _in_subpower_closure(sg, arity, y, p):
-    """Subpower membership (Bulatov, Mayr and Steindl, IJAC 2016): p lies in
-    the closure of y iff the subalgebra of S^(y + [p]) generated by the
-    literal and constant columns projects injectively onto the y coordinates."""
-    coords = sorted(y) + [p]
-    gens = [(c,) * len(coords) for c in range(sg.order)]
-    for i in range(arity):
-        gens.append(tuple(q[i] for q in coords))
-        gens.append(tuple(sg.inv[q[i]] for q in coords))
-    queue = list(set(gens))
-    seen = set(queue)
-    for v in queue:
-        for g in gens:
-            w = tuple(sg.table[a][b] for a, b in zip(v, g))
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len({v[:-1] for v in seen}) == len(seen)
+def _clone_grouping_closure(sg, pts):
+    """The closure from the whole clone: a point is kept unless two term
+    functions that agree on pts differ there."""
+    clone = clone_closure(sg, pts.arity)
+    assert clone.complete
+    points = list(all_points(sg.order, pts.arity))
+    where = [points.index(q) for q in sorted(pts.members)]
+    first = {}
+    for f in clone.functions:
+        first.setdefault(tuple(f[i] for i in where), f)
+    return {
+        q for k, q in enumerate(points)
+        if all(f[k] == first[tuple(f[i] for i in where)][k] for f in clone.functions)
+    }
+
+
+def _seeded_sets(sg, arity, tag):
+    pts = list(all_points(sg.order, arity))
+    rng = random.Random(f"{tag}/{sg.label}/{arity}")
+    return [PointSet(arity, frozenset(rng.sample(pts, min(size, len(pts))))) for size in range(4)]
 
 
 @pytest.mark.parametrize("name, arity", [
-    *((name, 1) for name in CATALOG_NAMES if name != "sim3"),
+    *((name, 1) for name in CATALOG_NAMES),
     ("brandt_b2", 2), ("chain3", 2), ("z3", 2),
 ])
 def test_closure_matches_subpower_membership(name, arity):
     sg = by_name(name)
     pts = list(all_points(sg.order, arity))
-    rng = random.Random(f"subpower/{name}/{arity}")
-    for size in range(4):
-        y = frozenset(rng.sample(pts, min(size, len(pts))))
-        report = closure(sg, PointSet(arity, y))
+    for y in _seeded_sets(sg, arity, "subpower"):
+        report = closure(sg, y)
         assert report.exact
-        expected = {p for p in pts if _in_subpower_closure(sg, arity, y, p)}
-        assert report.points.members == expected, sorted(y)
+        expected = {p for p in pts if in_subpower_closure(sg, y.members, p)}
+        assert report.points.members == expected, sorted(y.members)
+
+
+@pytest.mark.parametrize("name, arity, size, sample", [
+    *((name, 1, 1, None) for name in CATALOG_NAMES),
+    ("sim2", 1, 2, None), ("brandt_b2", 1, 2, None), ("brandt_b2", 2, 2, None),
+    ("sim2", 2, 2, 150),
+])
+def test_closure_matches_subpower_membership_on_small_sets(name, arity, size, sample):
+    # every set of size points (or a seeded sample of them): on some of
+    # these sets each generator's edges alone exclude a point
+    sg = by_name(name)
+    pts = list(all_points(sg.order, arity))
+    sets = list(itertools.combinations(pts, size))
+    if sample is not None:
+        sets = random.Random(f"small/{name}/{arity}").sample(sets, sample)
+    for y in sets:
+        expected = {p for p in pts if in_subpower_closure(sg, frozenset(y), p)}
+        assert closure(sg, PointSet(arity, frozenset(y))).points.members == expected, y
+
+
+@pytest.mark.parametrize("name, arity", [
+    *((name, 1) for name in CATALOG_NAMES if name != "sim3"),
+    *((name, 2) for name in ("chain2", "chain3", "z2", "z3", "z2_zero", "brandt_b2")),
+    *((name, 4) for name in ("trivial", "chain2", "chain3", "z2", "z3", "z2_zero")),
+])
+def test_closure_matches_clone_grouping(name, arity):
+    sg = by_name(name)
+    if arity == 4:
+        # the union {x1=x2} or {x3=x4} of the Rosenblatt certificate
+        sets = [PointSet(4, frozenset(
+            p for p in all_points(sg.order, 4) if p[0] == p[1] or p[2] == p[3]
+        ))]
+    else:
+        sets = _seeded_sets(sg, arity, "grouping")
+    for y in sets:
+        report = closure(sg, y)
+        assert report.exact
+        assert report.points.members == _clone_grouping_closure(sg, y), sorted(y.members)
 
 
 @pytest.mark.parametrize("name, arity, max_cells", [
-    ("sim2", 1, 7 * 40), ("brandt_b2", 2, 25 * 120),
+    ("sim2", 1, 6), ("brandt_b2", 2, 4), ("sim3", 1, 30),
 ])
-def test_truncated_closure_follows_the_pairwise_definition(name, arity, max_cells):
-    # a point is kept unless two clone functions agree on y and differ there
+def test_capped_closure_is_an_inexact_superset(name, arity, max_cells):
+    # every constant column lies in the subalgebra, so |S| * |y| > max_cells
+    # caps every nonempty y
     sg = by_name(name)
-    clone = clone_closure(sg, arity, max_cells)
-    assert not clone.complete
-    pts = list(all_points(sg.order, arity))
-    rng = random.Random(f"pairwise/{name}/{arity}")
-    for size in range(4):
-        y = frozenset(rng.sample(pts, size))
-        y_idx = [pts.index(q) for q in y]
-        keep = set(pts)
-        for f, g in itertools.combinations(clone.functions, 2):
-            if all(f[i] == g[i] for i in y_idx):
-                keep -= {q for q, a, b in zip(pts, f, g) if a != b}
-        report = closure(sg, PointSet(arity, y), max_cells=max_cells)
-        assert not report.exact
-        assert report.clone_size == len(clone.functions)
-        assert report.points.members == keep, sorted(y)
+    for y in _seeded_sets(sg, arity, "capped")[1:]:
+        capped = closure(sg, y, max_cells=max_cells)
+        assert not capped.exact
+        assert capped.points.members >= closure(sg, y).points.members
+        assert in_subpower_closure(sg, y.members, min(y.members), max_cells=max_cells) is None
+
+
+def test_cap_counts_vectors_times_points():
+    # the subalgebra of sim3's IncomparableWitness union {(12_), (1_3)} has
+    # 268 vectors on 2 points; the recheck's cap falls at the same place
+    sim3 = by_name("sim3")
+    y = _points(1, (sim3.index("12_"),), (sim3.index("1_3"),))
+    witness = (sim3.index("1__"),)
+    assert closure(sim3, y, max_cells=268 * 2).exact
+    assert not closure(sim3, y, max_cells=268 * 2 - 1).exact
+    assert in_subpower_closure(sim3, y.members, witness, max_cells=268 * 2) is True
+    assert in_subpower_closure(sim3, y.members, witness, max_cells=268 * 2 - 1) is None
 
 
 def test_lemma4_none_on_chains():
@@ -290,6 +331,7 @@ def test_ed_verdict_kinds_for_non_groups():
         "z2_zero": ["ZeroPresent", "ChainWitness"],
         "brandt_b2": ["ZeroPresent", "IncomparableWitness"],
         "sim2": ["ZeroPresent", "IncomparableWitness"],
+        "sim3": ["ZeroPresent", "IncomparableWitness"],
     }
     for name, kinds in expected.items():
         sg = by_name(name)
@@ -301,8 +343,9 @@ def test_ed_verdict_kinds_for_non_groups():
 
 
 def test_ed_verdict_sim3_is_certified_by_the_zero():
+    # a cap below |S| cells truncates every closure
     sg = by_name("sim3")
-    v = ed_verdict(sg)
+    v = ed_verdict(sg, max_cells=10)
     assert v.status == "NotED"
     assert [c.kind for c in v.certificates] == ["ZeroPresent"]
     assert v.truncated == ("clone truncated; closure is not exact",)
@@ -342,6 +385,8 @@ def test_tampered_certificates_fail_revalidation():
         ("chain3", lemma5_check): (("witness", (1, 1)),),
         ("z2", rosenblatt_check): (
             ("witness", (0, 0, 0, 0)),
+            ("witness", (0, 1, 0)),
+            ("witness", (0, 1, 0, 2)),
             ("closure_size", 15),
             ("idempotents", (0,)),
             ("union", PointSet(4, frozenset({(0, 0, 0, 0)}))),
