@@ -64,16 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("table", nargs="?", help="Cayley table file")
         p.add_argument("--catalog", choices=CATALOG_NAMES, help="built-in semigroup")
         p.add_argument("--no-header", action="store_true", help="suppress the version line")
-        p.add_argument(
-            "--max-cells", type=_positive_int, default=DEFAULT_MAX_CELLS, metavar="N",
-            help="closure cap per answer: subalgebra vectors times input points "
-            "(default %(default)s)",
-        )
         if needs_arity:
             p.add_argument(
                 "--arity", type=_positive_int, default=None, metavar="N",
                 help="number of variables (default: inferred)",
             )
+
+    def add_max_cells(p):
+        p.add_argument(
+            "--max-cells", type=_positive_int, default=DEFAULT_MAX_CELLS, metavar="N",
+            help="closure cap per answer: subalgebra vectors times input points "
+            "(default %(default)s)",
+        )
 
     p = sub.add_parser("info", help="orders, idempotents, zero/identity, order shape")
     add_common(p)
@@ -90,12 +92,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p = sub.add_parser("closure", help="algebraic closure of a point set")
     add_common(p, needs_arity=True)
+    add_max_cells(p)
     p.add_argument("points", nargs="+", help="points, e.g. '(e,f)' or bare names for arity 1")
     p = sub.add_parser("is-algebraic", help="least-superset test for a point set")
     add_common(p, needs_arity=True)
+    add_max_cells(p)
     p.add_argument("points", nargs="+", help="points, e.g. '(e,f)' or bare names for arity 1")
     p = sub.add_parser("verify", help="equational-domain verdict with certificates")
     add_common(p)
+    add_max_cells(p)
     p.add_argument(
         "--rosenblatt", action="store_true",
         help="check the fixed 4-ary union {x1=x2} or {x3=x4} instead",

@@ -8,7 +8,6 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import getitem, itemgetter
 from typing import Callable
@@ -35,12 +34,7 @@ MAX_POINTS = 20_000
 
 
 class BoundExceededError(ValueError):
-    """More points, or longer points, than the bound allows; required is how
-    many points, or None past 2^64."""
-
-    def __init__(self, message: str, required: int | None):
-        self.required = required
-        super().__init__(message)
+    """More points, or longer points, than the bound allows."""
 
 
 class CertificateError(RuntimeError):
@@ -51,20 +45,17 @@ def _check_bound(what: str, order: int, arity: int) -> None:
     # a count past 2^64 is neither computed nor printed: at a large arity
     # that would take more time and memory than the bound is there to save
     huge = (order.bit_length() - 1) * arity > 64
-    total = None if huge else order ** arity
-    if huge or total > MAX_POINTS:
-        count = "more than 2^64" if huge else total
+    if huge or order ** arity > MAX_POINTS:
+        count = "more than 2^64" if huge else order ** arity
         raise BoundExceededError(
-            f"{what} over arity {arity} needs {count} points, bound is {MAX_POINTS}",
-            required=total,
+            f"{what} over arity {arity} needs {count} points, bound is {MAX_POINTS}"
         )
     # only a one-element S passes the count above at such an arity, and its
     # one point still has arity coordinates
     if arity > MAX_POINTS:
         raise BoundExceededError(
             f"{what} over arity {arity} needs points of {arity} coordinates, "
-            f"bound is {MAX_POINTS}",
-            required=total,
+            f"bound is {MAX_POINTS}"
         )
 
 
@@ -132,12 +123,6 @@ def solution_set(sg: FiniteInverseSemigroup, system: EquationSystem) -> PointSet
     return PointSet(system.arity, members)
 
 
-def union(a: PointSet, b: PointSet) -> PointSet:
-    if a.arity != b.arity:
-        raise ValueError("cannot union point sets of different arities")
-    return PointSet(a.arity, a.members | b.members)
-
-
 @dataclass(frozen=True)
 class ClosureReport:
     points: PointSet
@@ -156,11 +141,11 @@ def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
     """B, the subalgebra of S^ys generated by the generators' columns, as its
     right Cayley graph; None once |B| * |ys| would exceed max_cells.
 
-    Returns (roots, levels, steps): roots[j] is the vector of generator j;
-    levels lists the other vectors level by level of the orbit, each level
-    as its vectors' (parent vectors, generators), the product that first
-    reached them; steps[j] picks, from any list indexed by vector, the
-    entries of every vector times generator j.
+    Returns (roots, parents, steps): roots[j] is the vector of generator j;
+    parents lists the other vectors in orbit order, each as the (parent
+    vector, generator) whose product first reached it, so a parent always
+    comes before its child; steps[j] picks, from any list indexed by vector,
+    the entries of every vector times generator j.
     """
     width = 2 * arity + len(sg.generating_set)
     columns = list(zip(*(_generator_values(sg, y) for y in ys))) or [()] * width
@@ -186,32 +171,23 @@ def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
                 vectors.append(product)
                 parents.append((v, j))
             step.append(w)
-    # parents only grow along the orbit, so each level is the run of
-    # vectors whose parents lie in the level before it
-    levels = []
-    r = len(vectors) - len(parents)
-    start, end = 0, r
-    while end < len(vectors):
-        start, end = end, r + bisect_left(parents, (end, 0))
-        levels.append(tuple(zip(*parents[start - r:end - r])))
-    return roots, levels, [itemgetter(*step) for step in steps]
+    return roots, parents, [itemgetter(*step) for step in steps]
 
 
 def _extends_to(sg: FiniteInverseSemigroup, graph, q: tuple[int, ...], columns) -> bool:
-    """Does t|ys -> t(q) define a map phi on B?  phi is built level by level
-    from each vector's parent and must agree at every generator and on
+    """Does t|ys -> t(q) define a map phi on B?  phi is built in orbit order,
+    each vector from its parent, and must agree at every generator and on
     every edge: phi(v g) = phi(v) g(q)."""
-    roots, levels, steps = graph
+    roots, parents, steps = graph
     at_q = _generator_values(sg, q)
     phi: list = [None] * (max(roots) + 1)
     for r, value in zip(roots, at_q):
         if phi[r] not in (None, value):
             return False
         phi[r] = value
-    # a level's parents lie in earlier levels, which phi already holds
-    for vs, gs in levels:
-        parent_rows = map(sg.table.__getitem__, map(phi.__getitem__, vs))
-        phi += map(getitem, parent_rows, map(at_q.__getitem__, gs))
+    table = sg.table
+    for v, j in parents:  # each parent precedes its child, so phi[v] is set
+        phi.append(table[phi[v]][at_q[j]])
     times = itemgetter(*phi)  # times(columns[g]) is phi(v) g for every v
     return all(step(phi) == times(columns[g]) for step, g in zip(steps, at_q))
 
@@ -370,8 +346,8 @@ class WitnessKind:
     is empty when the kind does not apply; equations gives the two equations
     whose solution sets form the union; witness gives the point proved to lie
     in the closure of the union but not in it, or None when any such point
-    will do (the least is reported); subject is what the point-bound message
-    names.
+    will do (is_algebraic's least witness is reported); subject is what the
+    point-bound message names.
     """
 
     subject: str
@@ -415,7 +391,7 @@ WITNESS_KINDS: dict[str, WitnessKind] = {
 
 def _union_of(sg, equations) -> PointSet:
     a, b = (solution_set(sg, EquationSystem((eq,))) for eq in equations)
-    return union(a, b)
+    return PointSet(a.arity, a.members | b.members)
 
 
 def _witness_certificate(
@@ -435,20 +411,19 @@ def _witness_certificate(
     except BoundExceededError as exc:
         return Unknown(str(exc))
     u = _union_of(sg, equations)
-    report = closure(sg, u, max_cells=max_cells)
-    if not report.exact:
+    verdict = is_algebraic(sg, u, max_cells=max_cells)
+    if verdict.status == "unknown":
         return Unknown("clone truncated; closure is not exact")
-    extra = report.points.members - u.members
+    closed = verdict.report.points.members
     witness = kind.witness(sg, idem)
     if witness is None:
-        if not extra:
+        if verdict.status == "yes":
             return None
-        witness = min(extra)
-    elif witness not in extra:
+        witness = verdict.witness
+    elif witness in u.members or witness not in closed:
         raise CertificateError(f"{kind_name} failed its membership facts")
     return Certificate(
-        kind_name, sg.label, idem, u, witness,
-        closure_size=len(report.points.members), exact=True,
+        kind_name, sg.label, idem, u, witness, closure_size=len(closed), exact=True
     )
 
 

@@ -323,13 +323,6 @@ def all_points(order: int, arity: int):
     return _cartesian(range(order), repeat=arity)
 
 
-def point_index(order: int, point) -> int:
-    idx = 0
-    for c in point:
-        idx = idx * order + c
-    return idx
-
-
 @dataclass(frozen=True)
 class CloneResult:
     functions: tuple[tuple[int, ...], ...]  # value tables in orbit order

@@ -252,9 +252,22 @@ def test_equation_text_errors(capsys):
         capsys, "solve", "--catalog", "chain2", "--arity", "1", "--eq", "x2 = e"
     )
     assert code == 2 and "out of range" in err
-    for flag, value in (("--arity", "-3"), ("--arity", "0"), ("--max-cells", "-5")):
+    for flag, value, message in (
+        ("--arity", "-3", "argument --arity"),
+        ("--arity", "0", "argument --arity"),
+        # solve reads no cell cap, so it does not take the flag
+        ("--max-cells", "-5", "unrecognized arguments: --max-cells"),
+    ):
         code, out, err = run(capsys, "solve", "--catalog", "chain2", flag, value, "--eq", "e=e")
-        assert code == 2 and out == "" and f"argument {flag}" in err
+        assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["info"], ["hasse"], ["embed"], ["solve", "--eq", "e=e"],
+], ids=lambda argv: argv[0])
+def test_max_cells_only_on_closure_commands(capsys, argv):
+    code, out, err = run(capsys, *argv, "--catalog", "chain2", "--max-cells", "10")
+    assert code == 2 and out == "" and "unrecognized arguments: --max-cells" in err
 
 
 def test_output_is_deterministic(capsys):

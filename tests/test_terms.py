@@ -20,7 +20,6 @@ from eqdom.terms import (
     evaluate,
     flatten,
     parse,
-    point_index,
     term_text,
     variables_of,
 )
@@ -152,11 +151,9 @@ def test_term_text_rendering():
     assert term_text(C2, parse("x1 (f x2)^-1", 2, C2)) == "x1 x2^-1 f"
 
 
-def test_all_points_and_point_index_agree():
+def test_all_points_order():
     pts = list(all_points(2, 2))
     assert pts == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for i, p in enumerate(all_points(3, 2)):
-        assert point_index(3, p) == i
 
 
 def test_unary_clone_of_the_two_chain():
