@@ -1,11 +1,12 @@
 """Good terms and the conjugator normal forms on idempotent arguments."""
 
+import hashlib
 import random
 
 import pytest
 
-from helpers import random_term
-from eqdom.catalog import by_name
+from helpers import random_term, shared_term_batch
+from eqdom.catalog import CATALOG_NAMES, by_name
 from eqdom.goodterms import (
     VAR_ONLY,
     GoodTerm,
@@ -164,3 +165,25 @@ def test_random_terms_normalize_and_agree_on_idempotents():
                             got = sg.table[got][nf.tail]
                         assert got == evaluate(sg, flat, (e, f))
                 done_b += 1
+
+
+# sha256 over repr() of every normal form of the shared term batches, in
+# catalog order: per entry, the unary forms of shared_term_batch(name, 1, 500)
+# that use exactly x1, then the binary forms of shared_term_batch(name, 2, 500)
+# that use exactly x1 and x2.
+NORMAL_FORMS_SHA256 = "6b7c835b2c11fa608dcd2d0aeb7c668c5e9fd11dc31d4066af52fb9cc5dc3df9"
+
+
+def test_normal_forms_of_the_shared_batches_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for name in CATALOG_NAMES:
+        sg = by_name(name)
+        for arity, normalize in ((1, normalize_unary), (2, normalize_binary)):
+            for term in shared_term_batch(name, arity, 500):
+                flat = flatten(sg, term)
+                if variables_of(flat) == set(range(arity)):
+                    digest.update(repr(normalize(sg, flat)).encode())
+                    count += 1
+    assert count == 7503
+    assert digest.hexdigest() == NORMAL_FORMS_SHA256
