@@ -25,14 +25,6 @@ from .geometry import (
     validate_certificate,
     validate_verdict,
 )
-from .goodterms import (
-    GoodTerm,
-    NormalizedBinary,
-    NormalizedUnary,
-    evaluate_good,
-    normalize_binary,
-    normalize_unary,
-)
 from .partialmap import GroundSet, PartialInjection
 from .semigroup import (
     FiniteInverseSemigroup,

@@ -2,21 +2,25 @@
 
 A good term is either the bare variable x or a product
 (s1 x s1^-1)(s2 x s2^-1)...(sn x sn^-1) with conjugators si drawn from the
-semigroup with a formal identity adjoined.  On idempotent arguments every
-term in one variable equals a good term times a constant tail:
+semigroup with a formal identity adjoined.  On idempotent arguments a term
+in any number of variables equals one good term per variable times a
+constant tail.  One routine builds the form for every arity: each
+occurrence of a variable is conjugated by its prefix, the product of the
+constants before it, and the tail is the product of all constants.  In one
+variable:
 
     c0 e c1 e ... ck  =  (s1 e s1^-1)(s2 e s2^-1)...(sk e sk^-1) * d
 
 with si = c0 c1 ... c(i-1) and d = c0 c1 ... ck.  The identity holds because
 each conjugate s e s^-1 is idempotent and idempotents commute with every
-u^-1 u, so the bookkeeping factors cancel against the tail.  The two-variable
-version separates the x-conjugates from the y-conjugates the same way.  Both
-normalizers verify their contract exhaustively over the idempotents at
-construction time.
+u^-1 u, so the bookkeeping factors cancel against the tail.  The conjugates
+commute with each other, so they collect by variable.  The routine checks
+the form exhaustively over the idempotent arguments before returning it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .terms import ConstLit, FlatTerm, evaluate, variables_of
@@ -56,6 +60,8 @@ def _s1_mul(semigroup, a: int | None, b: int | None) -> int | None:
 
 def evaluate_good(semigroup, good: GoodTerm, e: int) -> int:
     """Value at an idempotent argument; rejects non-idempotents."""
+    if not 0 <= e < semigroup.order:
+        raise ValueError(f"argument index {e} is not an element of the semigroup")
     if e not in semigroup.idempotents:
         raise ValueError(f"argument {semigroup.names[e]} is not idempotent")
     if good.is_var_only:
@@ -82,23 +88,41 @@ class NormalizedBinary:
     tail: int | None
 
 
-def _segments(flat: FlatTerm, semigroup):
-    """Split a flat term into constant runs around the variable occurrences.
+def _normal_form(semigroup, flat: FlatTerm, arity: int):
+    """Good terms for x1..x<arity> and the tail of a term, checked on idempotents.
 
-    Returns (segments, occurrences): len(segments) = occurrences + 1, where
-    segments[i] is the fused constant product (None if empty) between the
-    i-th and (i+1)-th variable occurrence.  Variable signs are dropped: on
-    idempotent arguments x^-1 = x.
+    Exactly the variables x1..x<arity> must occur.  Each occurrence is
+    conjugated by the product of the constants before it, and the tail is the
+    product of all constants (None when there are none).
     """
-    segments: list[int | None] = [None]
-    occurrences = 0
+    allowed = set(range(arity))
+    used = variables_of(flat)
+    if used - allowed:
+        names = " and ".join(f"x{i + 1}" for i in range(arity))
+        verb = "is" if arity == 1 else "are"
+        raise ValueError(
+            f"term mentions x{min(used - allowed) + 1}; only {names} {verb} allowed here"
+        )
+    if used != allowed:
+        raise ValueError(f"the variable x{min(allowed - used) + 1} must occur in the term")
+
+    prefix: int | None = None
+    conjugators: list[list[int | None]] = [[] for _ in range(arity)]
     for lit in flat.literals:
         if isinstance(lit, ConstLit):
-            segments[-1] = _s1_mul(semigroup, segments[-1], lit.element)
+            prefix = _s1_mul(semigroup, prefix, lit.element)
         else:
-            segments.append(None)
-            occurrences += 1
-    return segments, occurrences
+            conjugators[lit.index].append(prefix)
+    goods = tuple(GoodTerm(tuple(c)) for c in conjugators)
+
+    for point in itertools.product(sorted(semigroup.idempotents), repeat=arity):
+        got: int | None = None
+        for good, e in zip(goods, point):
+            got = _s1_mul(semigroup, got, evaluate_good(semigroup, good, e))
+        if _s1_mul(semigroup, got, prefix) != evaluate(semigroup, flat, point):
+            shown = ", ".join(semigroup.names[e] for e in point)
+            raise NormalizationError(f"normal form disagrees at idempotents ({shown})")
+    return goods, prefix
 
 
 def normalize_unary(semigroup, flat: FlatTerm) -> NormalizedUnary:
@@ -108,76 +132,17 @@ def normalize_unary(semigroup, flat: FlatTerm) -> NormalizedUnary:
     the 2-chain no good term sends the bottom idempotent anywhere but to
     itself, so a tail cannot lift the value back up).
     """
-    used = variables_of(flat)
-    if used - {0}:
-        extra = sorted(used - {0})[0]
-        raise ValueError(f"term mentions x{extra + 1}; only x1 is allowed here")
-    if not used:
-        raise ValueError("the variable x1 must occur in the term")
-
-    segments, k = _segments(flat, semigroup)
-    if k == 1 and all(s is None for s in segments):
-        nf = NormalizedUnary(VAR_ONLY, None)
-    else:
-        conjugators = []
-        run: int | None = None
-        for i in range(k):
-            run = _s1_mul(semigroup, run, segments[i])
-            conjugators.append(run)
-        tail = _s1_mul(semigroup, run, segments[k])
-        nf = NormalizedUnary(GoodTerm(tuple(conjugators)), tail)
-
-    for e in sorted(semigroup.idempotents):
-        got = evaluate_good(semigroup, nf.good, e)
-        got = got if nf.tail is None else semigroup.table[got][nf.tail]
-        want = evaluate(semigroup, flat, (e,))
-        if got != want:
-            raise NormalizationError(
-                f"unary normal form disagrees at idempotent {semigroup.names[e]}"
-            )
-    return nf
+    (good,), tail = _normal_form(semigroup, flat, 1)
+    if good == GoodTerm((None,)) and tail is None:
+        good = VAR_ONLY
+    return NormalizedUnary(good, tail)
 
 
 def normalize_binary(semigroup, flat: FlatTerm) -> NormalizedBinary:
     """Separated form t(e,f) = good_x(e) good_y(f) tail on idempotent pairs.
 
-    Each variable occurrence contributes the conjugate of its argument by the
-    product of all constants strictly before it; the conjugates commute, so
-    the x-factors collect in front of the y-factors, and the tail is the
-    product of all constants.  Both variables must occur.
+    The conjugates commute, so the x-factors collect in front of the
+    y-factors.  Both variables must occur.
     """
-    used = variables_of(flat)
-    if used - {0, 1}:
-        extra = sorted(used - {0, 1})[0]
-        raise ValueError(f"term mentions x{extra + 1}; only x1 and x2 are allowed here")
-    if used != {0, 1}:
-        missing = min({0, 1} - used)
-        raise ValueError(f"the variable x{missing + 1} must occur in the term")
-
-    prefix: int | None = None
-    x_conj: list[int | None] = []
-    y_conj: list[int | None] = []
-    for lit in flat.literals:
-        if isinstance(lit, ConstLit):
-            prefix = _s1_mul(semigroup, prefix, lit.element)
-        elif lit.index == 0:
-            x_conj.append(prefix)
-        else:
-            y_conj.append(prefix)
-    nf = NormalizedBinary(GoodTerm(tuple(x_conj)), GoodTerm(tuple(y_conj)), prefix)
-
-    table = semigroup.table
-    for e in sorted(semigroup.idempotents):
-        for f in sorted(semigroup.idempotents):
-            got = table[evaluate_good(semigroup, nf.good_x, e)][
-                evaluate_good(semigroup, nf.good_y, f)
-            ]
-            if nf.tail is not None:
-                got = table[got][nf.tail]
-            want = evaluate(semigroup, flat, (e, f))
-            if got != want:
-                raise NormalizationError(
-                    "binary normal form disagrees at "
-                    f"({semigroup.names[e]}, {semigroup.names[f]})"
-                )
-    return nf
+    (good_x, good_y), tail = _normal_form(semigroup, flat, 2)
+    return NormalizedBinary(good_x, good_y, tail)

@@ -54,8 +54,9 @@ class EmbeddingError(RuntimeError):
 
 
 # Characters that would collide with the table file format, point tuples,
-# equations, or comments if they appeared inside an element name.
-_FORBIDDEN_NAME_CHARS = set(" \t\r\n,():=#")
+# equations, comments, or quoted DOT identifiers if they appeared inside an
+# element name.
+_FORBIDDEN_NAME_CHARS = set(' \t\r\n,():=#"\\')
 
 
 @dataclass(frozen=True)

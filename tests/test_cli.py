@@ -317,15 +317,17 @@ def test_solve_respects_the_point_bound(capsys):
         )
 
 
-def test_import_loads_no_numpy():
-    # eqdom has no runtime dependency, so a CLI call must not pay for numpy
+def test_import_loads_no_numpy_and_no_goodterms():
+    # eqdom has no runtime dependency, so a CLI call must not pay for numpy;
+    # nor for eqdom.goodterms, which no CLI command calls
     src = str(Path(eqdom.__file__).resolve().parents[1])
     code = (
         "import sys, eqdom, eqdom.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')); "
+        "print('eqdom.goodterms' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout == "[]\n"
+    assert result.stdout == "[]\nFalse\n"

@@ -98,6 +98,9 @@ def test_good_term_needs_conjugators_or_var_only():
 def test_evaluate_good_rejects_non_idempotents():
     with pytest.raises(ValueError, match="not idempotent"):
         evaluate_good(SIM2, VAR_ONLY, SWAP)
+    # an index outside S is named in the error, not looked up
+    with pytest.raises(ValueError, match="argument index 7 is not an element"):
+        evaluate_good(by_name("chain2"), VAR_ONLY, 7)
 
 
 def test_single_conjugate_is_idempotent():

@@ -59,7 +59,8 @@ def test_names_must_be_distinct_and_tokenizable():
         validate(("a", "a"), [[0, 1], [1, 0]])
     with pytest.raises(SemigroupError):
         validate((), [])
-    for bad in ("a,b", "-", "x=y", "has space", "par(en", ""):
+    # hasse could not write " or \ inside a quoted DOT identifier
+    for bad in ("a,b", "-", "x=y", "has space", "par(en", "", 'a"b', "c\\"):
         with pytest.raises(SemigroupError):
             validate((bad,), ok)
     # '-' only forbidden standalone; it cannot appear at all per the char set
