@@ -1,6 +1,7 @@
 """Solution sets, algebraic closure, and the certificate-producing checks."""
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -216,6 +217,25 @@ def test_capped_closure_is_an_inexact_superset(name, arity, max_cells):
         assert in_subpower_closure(sg, y.members, min(y.members), max_cells=max_cells) is None
 
 
+def test_membership_answers_are_pinned():
+    # 4,000 answers of the one-point recheck, None under a cap included:
+    # 567 True, 2,157 False and 1,276 None
+    digest = hashlib.sha256()
+    for name in CATALOG_NAMES:
+        sg = by_name(name)
+        for arity in (1, 2):
+            pts = list(all_points(sg.order, arity))
+            if len(pts) > 200:
+                continue
+            rng = random.Random(f"membership/{name}/{arity}")
+            for size in range(5):
+                ys = frozenset(rng.sample(pts, min(size, len(pts))))
+                for max_cells in (3, 30, 300, 5_000_000):
+                    answers = [in_subpower_closure(sg, ys, p, max_cells=max_cells) for p in pts]
+                    digest.update(repr((name, arity, sorted(ys), max_cells, answers)).encode())
+    assert digest.hexdigest() == "652edb32c6cdb7531d51e3a83a71e88959b7ba2ec365f8b5bf4c1e8f48992178"
+
+
 def test_cap_counts_vectors_times_points():
     # the subalgebra of sim3's IncomparableWitness union {(12_), (1_3)} has
     # 268 vectors on 2 points; the recheck's cap falls at the same place
@@ -399,14 +419,21 @@ def test_tampered_certificates_fail_revalidation():
                 validate_certificate(sg, bad)
 
 
-@pytest.mark.parametrize("point", [(0,), (1,)], ids=["union-point", "outside-closure"])
-def test_wrong_witness_rule_fails_its_membership_facts(monkeypatch, point):
+@pytest.mark.parametrize("point, recheck", [
+    ((0,), "witness lies inside the union"),
+    ((1,), "witness is not in the closure of the union"),
+], ids=["union-point", "outside-closure"])
+def test_wrong_witness_rule_fails_its_membership_facts(monkeypatch, point, recheck):
     # on brandt_b2 the union is {(e11), (e22)} and its closure adds only (0):
-    # (e11) lies in the union, (e12) outside the closure
+    # (e11) lies in the union, (e12) outside the closure; a certificate that
+    # names the wrong rule's point fails revalidation too
+    cert = dataclasses.replace(lemma4_check(BRANDT), witness=point)
     kind = dataclasses.replace(WITNESS_KINDS["IncomparableWitness"], witness=lambda sg, ef: point)
     monkeypatch.setitem(WITNESS_KINDS, "IncomparableWitness", kind)
     with pytest.raises(CertificateError, match="failed its membership facts"):
         lemma4_check(BRANDT)
+    with pytest.raises(CertificateError, match=recheck):
+        validate_certificate(BRANDT, cert)
 
 
 def test_revalidation_accepts_every_valid_witness_choice():
