@@ -8,6 +8,7 @@ answer or failed re-validation, 2 input error, 3 unknown within bounds.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import __version__
@@ -60,8 +61,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_arity=False):
-        p.add_argument("table", nargs="?", help="Cayley table file")
+    def add_common(p, needs_arity=False, points=False):
+        if points:
+            p.add_argument(
+                "points", nargs="*", metavar="[TABLE] POINT",
+                help="Cayley table file unless --catalog is given, then points: "
+                "'(e,f)', or bare names at arity 1",
+            )
+        else:
+            p.add_argument("table", nargs="?", help="Cayley table file")
         p.add_argument("--catalog", choices=CATALOG_NAMES, help="built-in semigroup")
         p.add_argument("--no-header", action="store_true", help="suppress the version line")
         if needs_arity:
@@ -91,13 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="equation, repeatable",
     )
     p = sub.add_parser("closure", help="algebraic closure of a point set")
-    add_common(p, needs_arity=True)
+    add_common(p, needs_arity=True, points=True)
     add_max_cells(p)
-    p.add_argument("points", nargs="+", help="points, e.g. '(e,f)' or bare names for arity 1")
     p = sub.add_parser("is-algebraic", help="least-superset test for a point set")
-    add_common(p, needs_arity=True)
+    add_common(p, needs_arity=True, points=True)
     add_max_cells(p)
-    p.add_argument("points", nargs="+", help="points, e.g. '(e,f)' or bare names for arity 1")
     p = sub.add_parser("verify", help="equational-domain verdict with certificates")
     add_common(p)
     add_max_cells(p)
@@ -140,6 +146,8 @@ def _parse_point(sg, text: str) -> tuple[int, ...]:
 
 
 def _parse_points(sg, texts, arity_flag):
+    if not texts:
+        raise InputError("no points given")
     points = [_parse_point(sg, t) for t in texts]
     arities = {len(p) for p in points}
     if len(arities) != 1:
@@ -159,14 +167,10 @@ def _parse_equations(sg, eq_texts, arity_flag):
             raise InputError(f"equation must contain exactly one '=': {text!r}")
         lhs, rhs = text.split("=")
         sides.append((lhs, rhs))
-    if arity_flag is not None:
-        arity = arity_flag
-    else:
-        import re as _re
-        arity = 1
-        for lhs, rhs in sides:
-            for m in _re.finditer(r"\bx([0-9]+)\b", f"{lhs} {rhs}"):
-                arity = max(arity, int(m.group(1)))
+    # the largest xK the term lexer reads as a whole identifier
+    arity = arity_flag or max(
+        (int(k) for text in eq_texts for k in re.findall(r"\bx([0-9]+)\b", text)), default=1
+    )
     equations = tuple(
         Equation(parse(lhs, arity, sg), parse(rhs, arity, sg), arity)
         for lhs, rhs in sides
@@ -339,12 +343,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    # with --catalog there is no table file, so a stray positional on the
-    # point-taking commands is really the first point
-    if args.catalog and args.table is not None and hasattr(args, "points"):
-        args.points.insert(0, args.table)
-        args.table = None
+    args, rest = parser.parse_known_args(argv)
+    if hasattr(args, "points"):
+        # argparse takes only the first run of operands, so points after an
+        # option come back unparsed, still in order; the first operand is
+        # the table file unless --catalog is given
+        args.points += [a for a in rest if not a.startswith("-")]
+        rest = [a for a in rest if a.startswith("-")]
+        args.table = args.points.pop(0) if args.points and not args.catalog else None
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         sg = _load(args)
         return _COMMANDS[args.command](args, sg, sys.stdout)

@@ -27,6 +27,7 @@ from .terms import (
     all_points,
     evaluate,
     flatten,
+    term_values,
     variables_of,
 )
 
@@ -234,33 +235,16 @@ def in_subpower_closure(
     max_cells cells (vectors times |ys|).
 
     A check of one point kept apart from closure(): p is in the closure iff
-    the subalgebra of S^(ys + [p]) generated by the literal columns and all
-    |S| constant columns projects injectively onto the ys coordinates
-    (Bulatov, Mayr and Steindl, IJAC 2016).
+    the term functions' values on ys + [p], the orbit of term_values, project
+    injectively onto the ys coordinates (Bulatov, Mayr and Steindl, IJAC
+    2016).  The first collision answers False.
     """
-    coords = sorted(ys) + [p]
-    gens = [(c,) * len(coords) for c in range(sg.order)]
-    for i in range(len(p)):
-        gens.append(tuple(q[i] for q in coords))
-        gens.append(tuple(sg.inv[q[i]] for q in coords))
-    queue: list[tuple[int, ...]] = []
     at_p: dict[tuple[int, ...], int] = {}  # each vector's value at p, by its ys part
-
-    def products():
-        yield from gens
-        for v in queue:  # queue grows while this runs: the worklist
-            rows = [sg.table[a] for a in v]
-            for g in gens:
-                yield tuple(map(getitem, rows, g))
-
-    for v in products():
-        seen = at_p.setdefault(v[:-1], v[-1])
-        if seen != v[-1]:
+    for k, v in enumerate(term_values(sg, sorted(ys) + [p]), 1):
+        if at_p.setdefault(v[:-1], v[-1]) != v[-1]:
             return False
-        if len(at_p) > len(queue):
-            if len(at_p) * len(ys) > max_cells:
-                return None
-            queue.append(v)
+        if k * len(ys) > max_cells:
+            return None
     return True
 
 

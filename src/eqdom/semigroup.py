@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .partialmap import GroundSet, PartialInjection, compose, inverse as pinv
+from .terms import _IDENT
 
 
 class SemigroupError(ValueError):
@@ -51,12 +52,6 @@ class TableFormatError(ValueError):
 
 class EmbeddingError(RuntimeError):
     """Raised if the partial-injection embedding fails its own faithfulness check."""
-
-
-# Characters that would collide with the table file format, point tuples,
-# equations, comments, or quoted DOT identifiers if they appeared inside an
-# element name.
-_FORBIDDEN_NAME_CHARS = set(' \t\r\n,():=#"\\')
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,8 @@ def validate(names, table, label: str = "") -> FiniteInverseSemigroup:
     if len(set(names)) != n:
         raise SemigroupError("element names are not pairwise distinct")
     for nm in names:
-        if not nm or any(c in _FORBIDDEN_NAME_CHARS for c in nm) or nm == "-":
+        # exactly the names the term lexer reads as one identifier
+        if not _IDENT.fullmatch(nm):
             raise SemigroupError(f"element name not usable as a token: {nm!r}")
 
     rows = tuple(tuple(row) for row in table)

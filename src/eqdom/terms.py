@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as _cartesian
+from itertools import islice, product as _cartesian
+from operator import getitem
 
 DEFAULT_MAX_CELLS = 5_000_000
 # Most literals a parsed term may have after '^k' expansion, and deepest
@@ -335,46 +336,43 @@ class CloneResult:
         return frozenset(self.functions)
 
 
-def clone_closure(semigroup, arity: int, max_cells: int = DEFAULT_MAX_CELLS) -> CloneResult:
-    """All n-ary term functions, as the least set of value tables containing the
-    projections and the constants and closed under pointwise product and
-    pointwise inversion.
+def term_values(semigroup, coords):
+    """Each distinct tuple of term-function values on coords (a nonempty list
+    of points of one arity), in orbit order: first the generator columns
+    without repeats, the constants 0..|S|-1 then x1, x1^-1, x2, x2^-1, ...;
+    then each new right product v g, with v in the order found and g in
+    generator order.  Every flattened term is a product of these literals,
+    so right products reach every term function.
+    """
+    inv = semigroup.inv
+    generators = [(c,) * len(coords) for c in range(semigroup.order)]
+    for i in range(len(coords[0])):
+        generators += [tuple(p[i] for p in coords), tuple(inv[p[i]] for p in coords)]
+    generators = list(dict.fromkeys(generators))
+    yield from generators
+    values, seen = list(generators), set(generators)
+    for v in values:  # values grows while it is iterated: the worklist
+        rows = [semigroup.table[a] for a in v]
+        for g in generators:
+            product = tuple(map(getitem, rows, g))
+            if product not in seen:
+                seen.add(product)
+                values.append(product)
+                yield product
 
-    Computed as an orbit: every flattened term is a product of the literals
-    x_i, x_i^-1 and the constants, and that generator set is closed under
-    inversion, so right-multiplying reachable tables by generators reaches the
-    whole clone.  The worklist stops once the tables would exceed max_cells
-    total cells; the result is then flagged incomplete and callers must treat
-    downstream answers as unknown rather than negative.
+
+def clone_closure(semigroup, arity: int, max_cells: int = DEFAULT_MAX_CELLS) -> CloneResult:
+    """All n-ary term functions as value tables on S^n: the orbit of
+    term_values over all_points(|S|, n).
+
+    The orbit stops after max_cells // |S|^n tables; if more would follow,
+    the result is flagged incomplete and callers must treat downstream
+    answers as unknown rather than negative.
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
     order = semigroup.order
-    cells = order ** arity
-    limit = max_cells // cells
-    table = semigroup.table
-    inv = semigroup.inv
-    points = list(all_points(order, arity))
-
-    generators: list[tuple[int, ...]] = []
-    for i in range(arity):
-        generators.append(tuple(p[i] for p in points))
-        generators.append(tuple(inv[p[i]] for p in points))
-    for c in range(order):
-        generators.append((c,) * cells)
-    generators = list(dict.fromkeys(generators))
-    if len(generators) > limit:
-        return CloneResult(tuple(generators[:limit]), False, order, arity)
-
-    values = list(generators)
-    seen = set(values)
-    # values grows while it is iterated: the worklist, in orbit order
-    for fv in values:
-        for gvals in generators:
-            prod = tuple(table[a][b] for a, b in zip(fv, gvals))
-            if prod not in seen:
-                if len(values) >= limit:
-                    return CloneResult(tuple(values), False, order, arity)
-                seen.add(prod)
-                values.append(prod)
-    return CloneResult(tuple(values), True, order, arity)
+    limit = max_cells // order ** arity
+    orbit = term_values(semigroup, list(all_points(order, arity)))
+    functions = tuple(islice(orbit, limit + 1))
+    return CloneResult(functions[:limit], len(functions) <= limit, order, arity)

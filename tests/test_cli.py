@@ -9,6 +9,7 @@ import pytest
 
 import eqdom
 from eqdom.cli import main
+from eqdom.geometry import CertificateError
 
 CHAIN2_TEXT = """\
 elements e f
@@ -195,6 +196,36 @@ def test_verify_sim3_reports_truncation_but_stays_certified(capsys):
     assert "revalidation: ok\n" in out
 
 
+def test_verify_zero_free_non_group_from_a_table_file(capsys, tmp_path):
+    # Z2 with an identity adjoined: not a group and no zero, so the chain
+    # i > 1 of its idempotents alone certifies the verdict
+    path = tmp_path / "z2i.tbl"
+    path.write_text("elements i 1 a\nrow i: i 1 a\nrow 1: 1 1 a\nrow a: a a 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "verdict: NotED\n" in out
+    assert out.count("kind: ") == 1
+    assert "kind: ChainWitness\n" in out
+    assert "witness: (1,1)\nclosure-size: 9\n" in out
+    assert out.endswith("revalidation: ok\n")
+    code, out, _ = run(capsys, "verify", str(path), "--max-cells", "1")
+    assert code == 3
+    assert out.endswith(
+        "verdict: NotED (not certified at this size)\n"
+        "truncated: clone truncated; closure is not exact\n"
+    )
+
+
+def test_verify_reports_a_failed_revalidation(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise CertificateError("forced gap")
+
+    monkeypatch.setattr("eqdom.cli.validate_certificate", fail)
+    code, out, _ = run(capsys, "verify", "--catalog", "chain2")
+    assert code == 1
+    assert out.endswith("\nrevalidation: FAILED (forced gap)\n")
+
+
 def test_verify_rosenblatt_chain2(capsys):
     code, out, _ = run(capsys, "verify", "--catalog", "chain2", "--rosenblatt")
     assert code == 0
@@ -220,6 +251,29 @@ def test_table_file_input(capsys, tmp_path):
     code, out, _ = run(capsys, "closure", str(path), "(e)", "--no-header")
     assert code == 0
     assert "verdict: yes" in out
+
+
+# the first operand is the table file unless --catalog is given
+OPERAND_ORDERS = [
+    (["closure", "T", "--no-header", "e", "f"], 0, "input: (e), (f)\n"),
+    (["is-algebraic", "T", "--max-cells", "100", "e"], 0, "input: (e)\n"),
+    (["closure", "--catalog", "z2", "1", "--arity", "1", "a"], 0, "input: (1), (a)\n"),
+    (["closure", "--no-header", "T", "e", "--arity", "1", "f"], 0, "input: (e), (f)\n"),
+    (["info", "--no-header", "T"], 0, "semigroup: T\n"),
+    (["closure", "T"], 2, "no points given"),
+    (["closure", "T", "e", "--bogus"], 2, "unrecognized arguments: --bogus"),
+    (["info", "T", "T"], 2, "unrecognized arguments: T"),
+    (["info", "--catalog", "chain2", "--max-cells", "10"], 2, "unrecognized arguments: --max-cells"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text", OPERAND_ORDERS, ids=[" ".join(a) for a, _, _ in OPERAND_ORDERS])
+def test_operands_and_options_in_any_order(capsys, tmp_path, monkeypatch, argv, code, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "T").write_text(CHAIN2_TEXT, encoding="utf-8")
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert text in (out if code == 0 else err)
 
 
 def test_input_source_errors(capsys, tmp_path):

@@ -389,6 +389,8 @@ def test_tampered_certificates_fail_revalidation():
             ("idempotents", (0, 4)),
             ("union", PointSet(1, frozenset({(0,)}))),
             ("kind", "nonsense"),
+            ("exact", False),
+            ("exact", None),
         ),
         ("chain2", lemma5_check): (
             ("witness", (0, 0)),
@@ -417,6 +419,9 @@ def test_tampered_certificates_fail_revalidation():
             bad = dataclasses.replace(cert, **{field: value})
             with pytest.raises(CertificateError):
                 validate_certificate(sg, bad)
+    # the union {(e11), (e22)} has 3 vectors on 2 points, past a 4-cell cap
+    with pytest.raises(CertificateError, match="closure no longer exact"):
+        validate_certificate(BRANDT, lemma4_check(BRANDT), max_cells=4)
 
 
 @pytest.mark.parametrize("point, recheck", [
@@ -460,6 +465,10 @@ def test_zero_and_group_certificates_recheck_the_laws():
             kind="ZeroPresent", semigroup="z2", idempotents=(0,),
             union=None, witness=None, closure_size=None, exact=None,
         ))
+    with pytest.raises(CertificateError, match="must name exactly the zero"):
+        validate_certificate(C2, Certificate("ZeroPresent", "chain2", (1, 0)))
+    with pytest.raises(CertificateError, match="does not name the idempotent"):
+        validate_certificate(by_name("z2"), Certificate("GroupOutOfScope", "z2", (1,)))
     # the genuine zero certificate passes
     v = ed_verdict(C2)
     zero_cert = v.certificates[0]

@@ -59,11 +59,14 @@ def test_names_must_be_distinct_and_tokenizable():
         validate(("a", "a"), [[0, 1], [1, 0]])
     with pytest.raises(SemigroupError):
         validate((), [])
-    # hasse could not write " or \ inside a quoted DOT identifier
-    for bad in ("a,b", "-", "x=y", "has space", "par(en", "", 'a"b', "c\\"):
-        with pytest.raises(SemigroupError):
+    # a name must be one identifier of the term syntax, [A-Za-z0-9_]+, or
+    # no equation could use it as a constant
+    for bad in (
+        "a,b", "-", "x=y", "has space", "par(en", "", 'a"b', "c\\",
+        "a.b", "a*b", "f^2", "é",
+    ):
+        with pytest.raises(SemigroupError, match="not usable as a token"):
             validate((bad,), ok)
-    # '-' only forbidden standalone; it cannot appear at all per the char set
     validate(("a_1",), ok)
 
 
