@@ -1,11 +1,12 @@
 """Term parsing, flattening, evaluation, and the clone of term functions."""
 
+import hashlib
 import random
 
 import pytest
 
 from helpers import random_term
-from eqdom.catalog import by_name
+from eqdom.catalog import CATALOG_NAMES, by_name
 from eqdom.terms import (
     Const,
     ConstLit,
@@ -200,6 +201,19 @@ def test_clone_truncation_is_flagged():
     result = clone_closure(C2, 1, max_cells=4)
     assert not result.complete
     assert len(result.functions) == 2
+
+
+def test_clone_tables_and_order_are_pinned():
+    # 60 orbits, 18 of them truncated: the tables, their orbit order and the
+    # truncated prefix
+    digest = hashlib.sha256()
+    for name in CATALOG_NAMES:
+        sg = by_name(name)
+        for arity in (1, 2):
+            for max_cells in (50, 5_000, 200_000):
+                r = clone_closure(sg, arity, max_cells=max_cells)
+                digest.update(repr((name, arity, max_cells, r.functions, r.complete)).encode())
+    assert digest.hexdigest() == "e5bdce4e12ac259e35790bb67e8d7664f9b6d6f3bf5ded12e7bf71f7eb91a6ff"
 
 
 def test_clone_rejects_bad_arity():
