@@ -145,8 +145,11 @@ def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
     Returns (roots, parents, steps): roots[j] is the vector of generator j;
     parents lists the other vectors in orbit order, each as the (parent
     vector, generator) whose product first reached it, so a parent always
-    comes before its child; steps[j] picks, from any list indexed by vector,
-    the entries of every vector times generator j.
+    comes before its child; steps holds one (generator, pick) pair per root,
+    for the first generator with that root, where pick selects, from any
+    list indexed by vector, the entries of every vector times that generator.
+    Generators with equal columns give equal products, so a product by a
+    later one is never new and is not taken.
     """
     width = 2 * arity + len(sg.generating_set)
     columns = list(zip(*(_generator_values(sg, y) for y in ys))) or [()] * width
@@ -156,13 +159,13 @@ def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
         return None
     vectors = list(index)
     parents: list[tuple[int, int]] = []
-    steps: list[list[int]] = [[] for _ in columns]
+    steps: list[tuple[int, list[int]]] = [(roots.index(r), []) for r in range(len(index))]
     table = sg.table
     # vectors grows while it is iterated: the worklist, in orbit order
     for v, vector in enumerate(vectors):
         rows = [table[a] for a in vector]
-        for j, (column, step) in enumerate(zip(columns, steps)):
-            product = tuple(map(getitem, rows, column))
+        for j, step in steps:
+            product = tuple(map(getitem, rows, columns[j]))
             w = index.get(product)
             if w is None:
                 w = len(vectors)
@@ -172,13 +175,15 @@ def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
                 vectors.append(product)
                 parents.append((v, j))
             step.append(w)
-    return roots, parents, [itemgetter(*step) for step in steps]
+    return roots, parents, [(j, itemgetter(*step)) for j, step in steps]
 
 
 def _extends_to(sg: FiniteInverseSemigroup, graph, q: tuple[int, ...], columns) -> bool:
     """Does t|ys -> t(q) define a map phi on B?  phi is built in orbit order,
     each vector from its parent, and must agree at every generator and on
-    every edge: phi(v g) = phi(v) g(q)."""
+    every edge: phi(v g) = phi(v) g(q).  The root check runs over every
+    generator, so once it passes, generators that share a root also agree at
+    q and their edges are those of the first one, the only ones checked."""
     roots, parents, steps = graph
     at_q = _generator_values(sg, q)
     phi: list = [None] * (max(roots) + 1)
@@ -190,7 +195,7 @@ def _extends_to(sg: FiniteInverseSemigroup, graph, q: tuple[int, ...], columns) 
     for v, j in parents:  # each parent precedes its child, so phi[v] is set
         phi.append(table[phi[v]][at_q[j]])
     times = itemgetter(*phi)  # times(columns[g]) is phi(v) g for every v
-    return all(step(phi) == times(columns[g]) for step, g in zip(steps, at_q))
+    return all(step(phi) == times(columns[at_q[j]]) for j, step in steps)
 
 
 def closure(

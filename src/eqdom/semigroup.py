@@ -379,7 +379,8 @@ def parse_cayley_table(text: str) -> tuple[tuple[str, ...], list[list[int]]]:
 
 
 def load_semigroup(path: str) -> FiniteInverseSemigroup:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops one leading byte-order mark and otherwise reads UTF-8
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     names, table = parse_cayley_table(text)
     return validate(names, table, os.path.basename(path))

@@ -343,21 +343,32 @@ def term_values(semigroup, coords):
     then each new right product v g, with v in the order found and g in
     generator order.  Every flattened term is a product of these literals,
     so right products reach every term function.
+
+    A vector w first reached as u c, for a constant c, is multiplied by the
+    literals alone: only a vector multiplied by every generator reaches
+    another through a constant, so u was, and w d = u (c d) was found for
+    every constant d.  A constant root times d is again a constant root, so
+    the constant roots are flagged too.
     """
     inv = semigroup.inv
-    generators = [(c,) * len(coords) for c in range(semigroup.order)]
+    order = semigroup.order
+    generators = [(c,) * len(coords) for c in range(order)]
     for i in range(len(coords[0])):
         generators += [tuple(p[i] for p in coords), tuple(inv[p[i]] for p in coords)]
-    generators = list(dict.fromkeys(generators))
+    generators = list(dict.fromkeys(generators))  # keeps the |S| constants first
     yield from generators
     values, seen = list(generators), set(generators)
-    for v in values:  # values grows while it is iterated: the worklist
+    by_constant = [True] * order + [False] * (len(generators) - order)
+    # values and by_constant grow while they are iterated: the worklist
+    for v, flagged in zip(values, by_constant):
         rows = [semigroup.table[a] for a in v]
-        for g in generators:
+        start = order if flagged else 0
+        for j, g in enumerate(generators[start:], start):
             product = tuple(map(getitem, rows, g))
             if product not in seen:
                 seen.add(product)
                 values.append(product)
+                by_constant.append(j < order)
                 yield product
 
 

@@ -295,6 +295,19 @@ def test_input_source_errors(capsys, tmp_path):
     assert code == 2 and out == "" and "utf-8" in err
 
 
+def test_table_file_with_byte_order_mark_and_crlf(capsys, tmp_path):
+    # same basename, so the label line matches too
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "marked").mkdir()
+    plain = tmp_path / "plain" / "chain2.tbl"
+    plain.write_text(CHAIN2_TEXT, encoding="utf-8")
+    marked = tmp_path / "marked" / "chain2.tbl"
+    marked.write_bytes(b"\xef\xbb\xbf" + CHAIN2_TEXT.replace("\n", "\r\n").encode())
+    assert run(capsys, "info", str(marked)) == run(capsys, "info", str(plain))
+    code, out, err = run(capsys, "info", str(marked))
+    assert code == 0 and err == "" and "elements: e f\n" in out
+
+
 def test_equation_text_errors(capsys):
     code, _, err = run(capsys, "solve", "--catalog", "chain2", "--eq", "x1 x1")
     assert code == 2 and "exactly one '='" in err
