@@ -1,5 +1,7 @@
 """Cayley-table validation, the natural order, the embedding, table parsing."""
 
+import itertools
+
 import pytest
 
 from eqdom.catalog import CATALOG_NAMES, by_name
@@ -43,6 +45,31 @@ def test_subtraction_mod_3_is_not_associative():
         validate(("a", "b", "c"), table)
     i, j, k = exc.value.triple
     assert table[table[i][j]][k] != table[i][table[j][k]]
+
+
+def test_associativity_check_is_exact_on_every_small_table():
+    # every table of order 1, 2 and 3: 19,700 tables, 122 associative
+    associative = 0
+    for n in (1, 2, 3):
+        names = ("a", "b", "c")[:n]
+        for cells in itertools.product(range(n), repeat=n * n):
+            table = [cells[i * n:(i + 1) * n] for i in range(n)]
+            cubic = all(
+                table[table[i][j]][k] == table[i][table[j][k]]
+                for i in range(n) for j in range(n) for k in range(n)
+            )
+            try:
+                validate(names, table)
+            except NonAssociativeError as exc:
+                assert not cubic, table
+                i, j, k = exc.triple
+                assert table[table[i][j]][k] != table[i][table[j][k]], table
+                continue
+            except SemigroupError:
+                pass
+            assert cubic, table
+            associative += 1
+    assert associative == 122
 
 
 def test_left_zero_semigroup_has_two_inverse_candidates():
