@@ -62,8 +62,8 @@ def symmetric_inverse_monoid(n: int) -> FiniteInverseSemigroup:
     undefined slots, e.g. on two points '12' is the identity and '__' the
     empty map.
     """
-    if not 1 <= n <= 3:
-        raise ValueError("ground set size must be between 1 and 3")
+    if not 1 <= n <= 4:
+        raise ValueError("ground set size must be between 1 and 4")
     ground = partialmap.GroundSet(tuple(str(i + 1) for i in range(n)))
     maps = list(partialmap.all_partial_injections(ground))
     index = {m: k for k, m in enumerate(maps)}

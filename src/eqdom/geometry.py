@@ -132,8 +132,11 @@ class ClosureReport:
 
 def _generator_values(sg: FiniteInverseSemigroup, q: tuple[int, ...]) -> tuple[int, ...]:
     """The clone's generators at point q: x1, x1^-1, ..., xn, xn^-1, then the
-    constants of an inverse-closed generating set of S (their products give
-    every constant, so the clone is the same as with all of S)."""
+    constants of S's irredundant semigroup generating set.  Every constant,
+    inverses included, is a product of those, so these generators have the
+    same products as the literals with all of S.  That set is inverse-closed
+    and (uv)^-1 = v^-1 u^-1, so the products are the whole clone: inversion
+    needs no extra generator."""
     inv = sg.inv
     return (*(v for c in q for v in (c, inv[c])), *sg.generating_set)
 

@@ -62,6 +62,8 @@ class FiniteInverseSemigroup:
     idempotents: frozenset[int]
     zero: int | None
     identity: int | None
+    # an irredundant semigroup generating set, found once by validate()
+    generating_set: tuple[int, ...] = field(compare=False)
     label: str = field(default="", compare=False)
 
     @property
@@ -83,36 +85,50 @@ class FiniteInverseSemigroup:
         """The natural order of the idempotents, built once per semigroup."""
         return _build_natural_order(self)
 
-    @cached_property
-    def generating_set(self) -> tuple[int, ...]:
-        """An inverse-closed set whose products give every element: each
-        element not yet generated joins, with its inverse, in index order
-        but the identity last, since the others often generate it."""
-        gens: list[int] = []
-        reached: set[int] = set()
-        for s in sorted(range(self.order), key=lambda s: s == self.identity):
-            if s in reached:
-                continue
-            gens.extend(dict.fromkeys((s, self.inv[s])))
-            queue = list(gens)
-            reached = set(queue)
-            for a in queue:  # queue grows while iterated: the worklist
-                for g in gens:
-                    product = self.table[a][g]
-                    if product not in reached:
-                        reached.add(product)
-                        queue.append(product)
-        return tuple(gens)
+
+def _right_products(table, gens) -> list[int]:
+    """Every left-associated product (..((g1 g2) g3)..) gk of elements of
+    gens, k >= 1, in the order the worklist reaches them."""
+    reached = list(gens)
+    seen = set(reached)
+    for a in reached:  # reached grows while iterated: the worklist
+        for g in gens:
+            product = table[a][g]
+            if product not in seen:
+                seen.add(product)
+                reached.append(product)
+    return reached
+
+
+def _generating_set(table) -> tuple[int, ...]:
+    """An irredundant semigroup generating set: each element not yet
+    reached joins, in index order, then each generator that the others
+    already generate leaves, last first.  Products are taken
+    left-associated, so the set is well defined on a raw table, before
+    associativity is checked."""
+    gens: list[int] = []
+    reached: set[int] = set()
+    for s in range(len(table)):
+        if s not in reached:
+            gens.append(s)
+            reached = set(_right_products(table, gens))
+    for g in gens[::-1]:
+        others = [h for h in gens if h != g]
+        if len(_right_products(table, others)) == len(table):
+            gens = others
+    return tuple(gens)
 
 
 def validate(names, table, label: str = "") -> FiniteInverseSemigroup:
     """Check the inverse-semigroup axioms on a raw Cayley table.
 
     Raises NonAssociativeError, NotInverseError or IdempotentsDontCommuteError
-    with a concrete witness.  The commuting-idempotents check cannot fire once
-    uniqueness of inverses holds, but stays in as a self-check, as do the
-    remaining classical properties (ss' idempotent, s e s' idempotent, the
-    anti-homomorphism law for inversion, and the single-idempotent group case).
+    with a concrete witness.  Associativity is checked by Light's test, so
+    the middle element of a failing triple lies in the generating set.  The
+    commuting-idempotents check cannot fire once uniqueness of inverses
+    holds, but stays in as a self-check, as do the remaining classical
+    properties (ss' idempotent, s e s' idempotent, the anti-homomorphism law
+    for inversion, and the single-idempotent group case).
     """
     names = tuple(names)
     n = len(names)
@@ -133,12 +149,15 @@ def validate(names, table, label: str = "") -> FiniteInverseSemigroup:
             if not isinstance(entry, int) or not 0 <= entry < n:
                 raise SemigroupError(f"table entry {entry!r} out of range")
 
-    for i in range(n):
-        for j in range(n):
-            ij = rows[i][j]
-            for k in range(n):
-                if rows[ij][k] != rows[i][rows[j][k]]:
-                    raise NonAssociativeError(names, (i, j, k))
+    gens = _generating_set(rows)
+    # Light's test: (x a) y = x (a y) for every a of a generating set makes
+    # the table associative (Clifford and Preston I, section 1.2)
+    for a in gens:
+        for x, row_x in enumerate(rows):
+            xa_row = rows[row_x[a]]
+            for y, ay in enumerate(rows[a]):
+                if xa_row[y] != row_x[ay]:
+                    raise NonAssociativeError(names, (x, a, y))
 
     inv_list = []
     for s in range(n):
@@ -192,7 +211,7 @@ def validate(names, table, label: str = "") -> FiniteInverseSemigroup:
             identity = e
             break
 
-    return FiniteInverseSemigroup(names, rows, inv, idempotents, zero, identity, label)
+    return FiniteInverseSemigroup(names, rows, inv, idempotents, zero, identity, gens, label)
 
 
 def is_group(sg: FiniteInverseSemigroup) -> bool:

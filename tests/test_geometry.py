@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from eqdom.catalog import CATALOG_NAMES, by_name
+from eqdom.catalog import CATALOG_NAMES, by_name, symmetric_inverse_monoid
 from eqdom.geometry import (
     BoundExceededError,
     Certificate,
@@ -366,6 +366,19 @@ def test_ed_verdict_sim3_is_certified_by_the_zero():
     assert [c.kind for c in v.certificates] == ["ZeroPresent"]
     assert v.truncated == ("clone truncated; closure is not exact",)
     assert v.certified
+    validate_verdict(sg, v)
+
+
+def test_ed_verdict_on_sim4():
+    # 209 elements: one order past the catalog
+    sg = symmetric_inverse_monoid(4)
+    assert sg.order == 209
+    v = ed_verdict(sg)
+    assert v.status == "NotED"
+    assert [c.kind for c in v.certificates] == ["ZeroPresent", "IncomparableWitness"]
+    witness = v.certificates[1]
+    assert [sg.names[i] for i in witness.witness] == ["12__"]
+    assert witness.closure_size == 3
     validate_verdict(sg, v)
 
 

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from eqdom.catalog import CATALOG_NAMES, by_name
+from eqdom.catalog import CATALOG_NAMES, by_name, symmetric_inverse_monoid
 from eqdom.partialmap import compose, inverse as pinv
 from eqdom.semigroup import (
     EmbeddingError,
@@ -70,6 +70,32 @@ def test_associativity_check_is_exact_on_every_small_table():
             assert cubic, table
             associative += 1
     assert associative == 122
+
+
+def _generated(sg, gens):
+    """The subsemigroup generated by gens, by closing under products."""
+    found = set(gens)
+    while True:
+        more = {sg.table[a][b] for a in found for b in found} - found
+        if not more:
+            return found
+        found |= more
+
+
+def test_generating_set_is_irredundant():
+    sizes = {
+        "trivial": 1, "z2": 1, "z3": 1, "z5": 1,
+        "chain2": 2, "z2_zero": 2, "brandt_b2": 2, "sim2": 2,
+        "chain3": 3, "sim3": 3,
+    }
+    assert set(sizes) == set(CATALOG_NAMES)
+    semigroups = [by_name(name) for name in CATALOG_NAMES]
+    for sg in semigroups + [symmetric_inverse_monoid(4)]:
+        gens = sg.generating_set
+        assert _generated(sg, gens) == set(range(sg.order)), sg
+        for g in gens:
+            assert len(_generated(sg, set(gens) - {g})) < sg.order, (sg, g)
+    assert {sg.label: len(sg.generating_set) for sg in semigroups} == sizes
 
 
 def test_left_zero_semigroup_has_two_inverse_candidates():
