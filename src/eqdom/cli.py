@@ -31,8 +31,8 @@ from .catalog import CATALOG_NAMES, by_name
 from .partialmap import domain_of, render
 from .semigroup import (
     SemigroupError,
-    find_incomparable_pair,
     hasse_dot,
+    incomparable_pairs,
     is_group,
     load_semigroup,
     wagner_preston,
@@ -191,11 +191,11 @@ def cmd_info(args, sg, out) -> int:
         f"identity: {sg.names[sg.identity] if sg.identity is not None else 'none'}",
         file=out,
     )
-    pair = find_incomparable_pair(sg)
-    if pair is None:
+    pairs = incomparable_pairs(sg)
+    if not pairs:
         print("idempotent-order: chain", file=out)
     else:
-        e, f = pair
+        e, f = pairs[0]
         print(f"idempotent-order: incomparable ({sg.names[e]}, {sg.names[f]})", file=out)
     return 0
 
@@ -241,7 +241,7 @@ def cmd_solve(args, sg, out) -> int:
     return 0
 
 
-def _closure_common(args, sg, out, show_members: bool) -> int:
+def cmd_closure(args, sg, out) -> int:
     pts = _parse_points(sg, args.points, args.arity)
     _header(args, sg, out)
     print(f"arity: {pts.arity}", file=out)
@@ -254,7 +254,7 @@ def _closure_common(args, sg, out, show_members: bool) -> int:
     report = verdict.report
     print(f"closure-size: {len(report.points.members)}", file=out)
     print(f"exact: {'true' if report.exact else 'false'}", file=out)
-    if show_members:
+    if args.command == "closure":
         print("members:", file=out)
         for p in report.points.sorted_members():
             print(point_text(sg, p), file=out)
@@ -266,14 +266,6 @@ def _closure_common(args, sg, out, show_members: bool) -> int:
         return 0
     print(f"witness: {point_text(sg, verdict.witness)}", file=out)
     return 1
-
-
-def cmd_closure(args, sg, out) -> int:
-    return _closure_common(args, sg, out, show_members=True)
-
-
-def cmd_is_algebraic(args, sg, out) -> int:
-    return _closure_common(args, sg, out, show_members=False)
 
 
 def cmd_verify(args, sg, out) -> int:
@@ -336,7 +328,7 @@ _COMMANDS = {
     "embed": cmd_embed,
     "solve": cmd_solve,
     "closure": cmd_closure,
-    "is-algebraic": cmd_is_algebraic,
+    "is-algebraic": cmd_closure,
     "verify": cmd_verify,
 }
 

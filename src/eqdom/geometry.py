@@ -102,6 +102,12 @@ class PointSet:
         return sorted(self.members)
 
 
+def _check_in_range(sg: FiniteInverseSemigroup, points) -> None:
+    for p in points:
+        if not all(0 <= c < sg.order for c in p):
+            raise ValueError(f"point {p} has a coordinate outside 0..{sg.order - 1}")
+
+
 def point_text(sg: FiniteInverseSemigroup, p: tuple[int, ...]) -> str:
     """A point as element names, e.g. '(e,f)'."""
     return "(" + ",".join(sg.names[i] for i in p) + ")"
@@ -220,6 +226,7 @@ def closure(
     """
     n = pts.arity
     _check_bound("closure", sg.order, n)
+    _check_in_range(sg, pts.members)
     points = all_points(sg.order, n)
     graph = _subpower(sg, n, sorted(pts.members), max_cells)
     if graph is None:
@@ -247,6 +254,7 @@ def in_subpower_closure(
     injectively onto the ys coordinates (Bulatov, Mayr and Steindl, IJAC
     2016).  The first collision answers False.
     """
+    _check_in_range(sg, [*ys, p])
     at_p: dict[tuple[int, ...], int] = {}  # each vector's value at p, by its ys part
     for k, v in enumerate(term_values(sg, sorted(ys) + [p]), 1):
         if at_p.setdefault(v[:-1], v[-1]) != v[-1]:
@@ -302,7 +310,6 @@ class Certificate:
     """
 
     kind: str
-    semigroup: str
     idempotents: tuple[int, ...]
     union: PointSet | None = None
     witness: tuple[int, ...] | None = None
@@ -321,7 +328,7 @@ def format_certificate(sg: FiniteInverseSemigroup, cert: Certificate) -> str:
     exact = "-" if cert.exact is None else ("true" if cert.exact else "false")
     return "\n".join([
         f"kind: {cert.kind}",
-        f"semigroup: {cert.semigroup}",
+        f"semigroup: {sg.label}",
         f"idempotents: {idem}",
         f"union: {union_text}",
         f"witness: {witness}",
@@ -415,7 +422,7 @@ def _witness_certificate(
     elif witness in u.members or witness not in closed:
         raise CertificateError(f"{kind_name} failed its membership facts")
     return Certificate(
-        kind_name, sg.label, idem, u, witness, closure_size=len(closed), exact=True
+        kind_name, idem, u, witness, closure_size=len(closed), exact=True
     )
 
 
@@ -456,7 +463,6 @@ def rosenblatt_check(
 
 @dataclass(frozen=True)
 class Verdict:
-    semigroup: str
     status: str  # "GroupOutOfScope" | "NotED"
     certificates: tuple[Certificate, ...]
     truncated: tuple[str, ...]
@@ -478,13 +484,13 @@ def ed_verdict(sg: FiniteInverseSemigroup, *, max_cells: int = DEFAULT_MAX_CELLS
     """
     if is_group(sg):
         (e,) = sg.idempotents
-        cert = Certificate("GroupOutOfScope", sg.label, (e,))
-        return Verdict(sg.label, "GroupOutOfScope", (cert,), ())
+        cert = Certificate("GroupOutOfScope", (e,))
+        return Verdict("GroupOutOfScope", (cert,), ())
 
     certificates = []
     truncated = []
     if sg.zero is not None:
-        certificates.append(Certificate("ZeroPresent", sg.label, (sg.zero,)))
+        certificates.append(Certificate("ZeroPresent", (sg.zero,)))
     # lemma4 applies exactly when the idempotents are not a chain
     computed = lemma4_check(sg, max_cells=max_cells)
     if computed is None:
@@ -493,7 +499,7 @@ def ed_verdict(sg: FiniteInverseSemigroup, *, max_cells: int = DEFAULT_MAX_CELLS
         certificates.append(computed)
     elif isinstance(computed, Unknown):
         truncated.append(computed.reason)
-    return Verdict(sg.label, "NotED", tuple(certificates), tuple(truncated))
+    return Verdict("NotED", tuple(certificates), tuple(truncated))
 
 
 def validate_certificate(

@@ -83,7 +83,20 @@ class FiniteInverseSemigroup:
     @cached_property
     def idempotent_order(self) -> IdempotentOrder:
         """The natural order of the idempotents, built once per semigroup."""
-        return _build_natural_order(self)
+        elems = tuple(sorted(self.idempotents))
+        order = IdempotentOrder(elems, self.table)
+        # partial-order sanity: reflexive by idempotency, antisymmetry and
+        # transitivity follow from commuting idempotents; asserted anyway
+        for e in elems:
+            if not order.leq(e, e):
+                raise SemigroupError("natural order is not reflexive")
+            for f in elems:
+                if order.leq(e, f) and order.leq(f, e) and e != f:
+                    raise SemigroupError("natural order is not antisymmetric")
+                for g in elems:
+                    if order.leq(e, f) and order.leq(f, g) and not order.leq(e, g):
+                        raise SemigroupError("natural order is not transitive")
+        return order
 
 
 def _right_products(table, gens) -> list[int]:
@@ -224,10 +237,10 @@ class IdempotentOrder:
     """The natural partial order e <= f iff ef = e, restricted to idempotents."""
 
     elements: tuple[int, ...]
-    pairs: frozenset[tuple[int, int]]
+    table: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def leq(self, e: int, f: int) -> bool:
-        return (e, f) in self.pairs
+        return self.table[e][f] == e
 
     def minimal(self) -> tuple[int, ...]:
         return tuple(
@@ -262,26 +275,6 @@ def natural_order(sg: FiniteInverseSemigroup) -> IdempotentOrder:
     return sg.idempotent_order
 
 
-def _build_natural_order(sg: FiniteInverseSemigroup) -> IdempotentOrder:
-    elems = tuple(sorted(sg.idempotents))
-    pairs = frozenset(
-        (e, f) for e in elems for f in elems if sg.table[e][f] == e
-    )
-    order = IdempotentOrder(elems, pairs)
-    # partial-order sanity: reflexive by idempotency, antisymmetry and
-    # transitivity follow from commuting idempotents; asserted anyway
-    for e in elems:
-        if not order.leq(e, e):
-            raise SemigroupError("natural order is not reflexive")
-        for f in elems:
-            if order.leq(e, f) and order.leq(f, e) and e != f:
-                raise SemigroupError("natural order is not antisymmetric")
-            for g in elems:
-                if order.leq(e, f) and order.leq(f, g) and not order.leq(e, g):
-                    raise SemigroupError("natural order is not transitive")
-    return order
-
-
 def incomparable_pairs(sg: FiniteInverseSemigroup) -> tuple[tuple[int, int], ...]:
     """Every ordered pair of order-incomparable idempotents, lexicographically."""
     order = natural_order(sg)
@@ -291,17 +284,8 @@ def incomparable_pairs(sg: FiniteInverseSemigroup) -> tuple[tuple[int, int], ...
     )
 
 
-def find_incomparable_pair(sg: FiniteInverseSemigroup) -> tuple[int, int] | None:
-    """Lexicographically least pair of order-incomparable idempotents, if any.
-
-    Its first element is the smaller one: the reversed pair sorts later.
-    """
-    pairs = incomparable_pairs(sg)
-    return pairs[0] if pairs else None
-
-
 def is_chain(sg: FiniteInverseSemigroup) -> bool:
-    return find_incomparable_pair(sg) is None
+    return not incomparable_pairs(sg)
 
 
 def wagner_preston(sg: FiniteInverseSemigroup) -> tuple[PartialInjection, ...]:

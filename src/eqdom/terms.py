@@ -26,6 +26,10 @@ MAX_TERM_SIZE = 100
 class Var:
     index: int
 
+    def __post_init__(self) -> None:
+        if self.index < 0:
+            raise ValueError(f"variable index must be >= 0, got {self.index}")
+
 
 @dataclass(frozen=True)
 class Const:
@@ -52,6 +56,8 @@ class VarLit:
     sign: int  # +1 or -1
 
     def __post_init__(self) -> None:
+        if self.index < 0:
+            raise ValueError(f"variable index must be >= 0, got {self.index}")
         if self.sign not in (+1, -1):
             raise ValueError(f"literal sign must be +1 or -1, got {self.sign}")
 
@@ -235,6 +241,8 @@ def _flatten_into(semigroup, term, sign, out):
     if isinstance(term, Var):
         out.append(VarLit(term.index, sign))
     elif isinstance(term, Const):
+        if not 0 <= term.element < semigroup.order:
+            raise ValueError(f"constant {term.element} outside 0..{semigroup.order - 1}")
         elem = term.element if sign > 0 else semigroup.inv[term.element]
         out.append(ConstLit(elem))
     elif isinstance(term, Inverse):

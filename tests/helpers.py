@@ -3,13 +3,14 @@
 random_terms() is the one piece of machinery several test modules need: a
 deterministic stream of random term ASTs with a bounded number of literal
 leaves.  Everything is driven by an explicit random.Random so reruns see the
-same terms.
+same terms.  direct_product() builds semigroups beyond the catalog.
 """
 
 import random
 from functools import lru_cache
 
 from eqdom.catalog import by_name
+from eqdom.semigroup import validate
 from eqdom.terms import Const, Inverse, Product, Var
 
 
@@ -48,3 +49,15 @@ def shared_term_batch(catalog_name, arity, count):
     sg = by_name(catalog_name)
     seed = f"{catalog_name}/{arity}"
     return tuple(random_terms(seed, arity, sg.order, count))
+
+
+def direct_product(a, b):
+    """a x b with componentwise product, elements (x, y) named x_y in
+    row-major order, checked by validate()."""
+    pairs = [(x, y) for x in range(a.order) for y in range(b.order)]
+    names = [f"{a.names[x]}_{b.names[y]}" for x, y in pairs]
+    table = [
+        [pairs.index((a.table[x][u], b.table[y][v])) for u, v in pairs]
+        for x, y in pairs
+    ]
+    return validate(names, table, f"{a.label}x{b.label}")

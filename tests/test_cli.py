@@ -322,6 +322,7 @@ def test_equation_text_errors(capsys):
     for flag, value, message in (
         ("--arity", "-3", "argument --arity"),
         ("--arity", "0", "argument --arity"),
+        ("--arity", "abc", "must be an integer >= 1, got 'abc'"),
         # solve reads no cell cap, so it does not take the flag
         ("--max-cells", "-5", "unrecognized arguments: --max-cells"),
     ):
@@ -398,3 +399,13 @@ def test_import_loads_no_numpy_and_no_goodterms():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout == "[]\nFalse\n"
+
+
+def test_python_dash_m_runs_main(capsys):
+    argv = ["verify", "--catalog", "brandt_b2"]
+    src = str(Path(eqdom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-m", "eqdom", *argv], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stdout, result.stderr) == run(capsys, *argv)

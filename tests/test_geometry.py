@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from helpers import direct_product
 from eqdom.catalog import CATALOG_NAMES, by_name, symmetric_inverse_monoid
 from eqdom.geometry import (
     BoundExceededError,
@@ -74,6 +75,21 @@ def test_system_types_are_checked():
         ))
     with pytest.raises(ValueError, match="arity"):
         PointSet(2, frozenset({(0,)}))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: closure(C2, _points(1, (-1,))), "outside 0..1"),
+    (lambda: is_algebraic(C2, _points(1, (-1,))), "outside 0..1"),
+    (lambda: closure(C2, _points(1, (5,))), "outside 0..1"),
+    (lambda: in_subpower_closure(C2, frozenset({(-1,)}), (1,)), "outside 0..1"),
+    (lambda: Equation(Var(-1), Const(0), 2), ">= 0"),
+    (lambda: solution_set(C2, EquationSystem((Equation(Var(0), Const(7), 1),))), "outside 0..1"),
+    (lambda: solution_set(C2, EquationSystem((Equation(Var(0), Const(-1), 1),))), "outside 0..1"),
+], ids=["closure-negative", "is-algebraic-negative", "closure-too-large", "membership-negative",
+        "negative-variable", "constant-too-large", "constant-negative"])
+def test_indices_outside_s_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_closure_of_singleton_and_empty_set():
@@ -382,6 +398,28 @@ def test_ed_verdict_on_sim4():
     validate_verdict(sg, v)
 
 
+@pytest.mark.parametrize("a, b, kind, idempotents, witness, size", [
+    ("z2", "chain2", "ChainWitness", ["1_e", "1_f"], ["1_f", "1_f"], 16),
+    ("z2", "chain3", "ChainWitness", ["1_e", "1_g"], ["1_g", "1_g"], 36),
+    ("z3", "chain2", "ChainWitness", ["1_e", "1_f"], ["1_f", "1_f"], 36),
+    ("z2", "z2_zero", "ChainWitness", ["1_1", "1_0"], ["1_0", "1_0"], 36),
+    ("z2", "brandt_b2", "IncomparableWitness", ["1_e11", "1_e22"], ["1_0"], 3),
+    ("z2", "sim2", "IncomparableWitness", ["1_1_", "1__2"], ["1___"], 3),
+], ids=["z2xchain2", "z2xchain3", "z3xchain2", "z2xz2_zero", "z2xbrandt_b2", "z2xsim2"])
+def test_ed_verdict_on_zero_free_products(a, b, kind, idempotents, witness, size):
+    # a group times a non-group has no zero, so a witness kind alone certifies it
+    sg = direct_product(by_name(a), by_name(b))
+    assert sg.zero is None
+    v = ed_verdict(sg)
+    assert v.status == "NotED" and v.truncated == ()
+    (cert,) = v.certificates
+    assert cert.kind == kind
+    assert [sg.names[e] for e in cert.idempotents] == idempotents
+    assert [sg.names[c] for c in cert.witness] == witness
+    assert cert.closure_size == size
+    validate_verdict(sg, v)
+
+
 def test_format_certificate_is_stable():
     assert format_certificate(BRANDT, lemma4_check(BRANDT)) == (
         "kind: IncomparableWitness\n"
@@ -458,7 +496,7 @@ def test_revalidation_accepts_every_valid_witness_choice():
     # any incomparable pair, in either order, with its own product as witness
     for e, f in ((0, 3), (3, 0)):
         union_ef = PointSet(1, frozenset({(e,), (f,)}))
-        cert = Certificate("IncomparableWitness", "brandt_b2", (e, f), union_ef, (4,), 3, True)
+        cert = Certificate("IncomparableWitness", (e, f), union_ef, (4,), 3, True)
         validate_certificate(BRANDT, cert)
     # any point of closure minus union, not only the least
     cert = rosenblatt_check(C2)
@@ -470,18 +508,21 @@ def test_revalidation_accepts_every_valid_witness_choice():
 def test_zero_and_group_certificates_recheck_the_laws():
     with pytest.raises(CertificateError):
         validate_certificate(C2, Certificate(
-            kind="GroupOutOfScope", semigroup="chain2", idempotents=(0,),
+            kind="GroupOutOfScope", idempotents=(0,),
             union=None, witness=None, closure_size=None, exact=None,
         ))
     with pytest.raises(CertificateError):
         validate_certificate(by_name("z2"), Certificate(
-            kind="ZeroPresent", semigroup="z2", idempotents=(0,),
+            kind="ZeroPresent", idempotents=(0,),
             union=None, witness=None, closure_size=None, exact=None,
         ))
     with pytest.raises(CertificateError, match="must name exactly the zero"):
-        validate_certificate(C2, Certificate("ZeroPresent", "chain2", (1, 0)))
+        validate_certificate(C2, Certificate("ZeroPresent", (1, 0)))
     with pytest.raises(CertificateError, match="does not name the idempotent"):
-        validate_certificate(by_name("z2"), Certificate("GroupOutOfScope", "z2", (1,)))
+        validate_certificate(by_name("z2"), Certificate("GroupOutOfScope", (1,)))
+    # a zero field that names a non-absorbing element fails the law itself
+    with pytest.raises(CertificateError, match="zero law fails"):
+        validate_certificate(dataclasses.replace(C2, zero=0), Certificate("ZeroPresent", (0,)))
     # the genuine zero certificate passes
     v = ed_verdict(C2)
     zero_cert = v.certificates[0]

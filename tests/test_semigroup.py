@@ -4,7 +4,14 @@ import itertools
 
 import pytest
 
-from eqdom.catalog import CATALOG_NAMES, by_name, symmetric_inverse_monoid
+from eqdom.catalog import (
+    CATALOG_NAMES,
+    by_name,
+    chain_semilattice,
+    cyclic_group,
+    group_with_zero,
+    symmetric_inverse_monoid,
+)
 from eqdom.partialmap import compose, inverse as pinv
 from eqdom.semigroup import (
     EmbeddingError,
@@ -12,8 +19,8 @@ from eqdom.semigroup import (
     NotInverseError,
     SemigroupError,
     TableFormatError,
-    find_incomparable_pair,
     hasse_dot,
+    incomparable_pairs,
     is_chain,
     is_group,
     load_semigroup,
@@ -37,6 +44,16 @@ def test_validate_accepts_whole_catalog():
         sg = by_name(name)
         assert sg.order >= 1
         assert sg.label == name
+    assert repr(by_name("chain2")) == "<FiniteInverseSemigroup chain2 order=2>"
+    assert repr(validate(("a",), [[0]])) == "<FiniteInverseSemigroup anonymous order=1>"
+    with pytest.raises(ValueError, match="known: trivial chain2 chain3 .* sim3"):
+        by_name("nosuch")
+    for factory, size in (
+        (chain_semilattice, 0), (cyclic_group, 101), (group_with_zero, 0),
+        (symmetric_inverse_monoid, 5),
+    ):
+        with pytest.raises(ValueError, match="between 1 and"):
+            factory(size)
 
 
 def test_subtraction_mod_3_is_not_associative():
@@ -173,13 +190,13 @@ def test_natural_order_on_brandt():
 
 
 def test_incomparable_pair_lookup():
-    assert find_incomparable_pair(by_name("chain3")) is None
+    assert incomparable_pairs(by_name("chain3")) == ()
     assert is_chain(by_name("chain3"))
-    assert find_incomparable_pair(by_name("brandt_b2")) == (0, 3)
+    assert incomparable_pairs(by_name("brandt_b2")) == ((0, 3), (3, 0))
     # sim2 names: 12 1_ 21 2_ _1 _2 __ ; the restrictions of the identity
     # to {1} and to {2} are the least incomparable pair
     sim2 = by_name("sim2")
-    pair = find_incomparable_pair(sim2)
+    pair = incomparable_pairs(sim2)[0]
     assert pair == (1, 5)
     assert (sim2.names[pair[0]], sim2.names[pair[1]]) == ("1_", "_2")
 

@@ -76,6 +76,8 @@ def test_parse_errors():
     for text in cases:
         with pytest.raises(ParseError):
             parse(text, 2, C2)
+    with pytest.raises(ParseError, match="unexpected token '\\^'"):
+        parse("^2 x1", 1, C2)
 
 
 def test_parse_error_carries_position():
@@ -115,6 +117,11 @@ def test_flat_term_validation():
         FlatTerm((ConstLit(0), ConstLit(1)))
     with pytest.raises(ValueError):
         VarLit(0, 2)
+    with pytest.raises(ValueError, match=">= 0"):
+        VarLit(-1, +1)
+    for walk in (lambda t: flatten(C2, t), variables_of, lambda t: evaluate(C2, t, (0,))):
+        with pytest.raises(TypeError, match="not a term"):
+            walk("x1")
 
 
 def test_flatten_is_a_normal_form():
