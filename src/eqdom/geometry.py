@@ -24,6 +24,8 @@ from .terms import (
     Const,
     Term,
     Var,
+    _check_points,
+    _evaluate_flat,
     all_points,
     evaluate,
     flatten,
@@ -102,12 +104,6 @@ class PointSet:
         return sorted(self.members)
 
 
-def _check_in_range(sg: FiniteInverseSemigroup, points) -> None:
-    for p in points:
-        if not all(0 <= c < sg.order for c in p):
-            raise ValueError(f"point {p} has a coordinate outside 0..{sg.order - 1}")
-
-
 def point_text(sg: FiniteInverseSemigroup, p: tuple[int, ...]) -> str:
     """A point as element names, e.g. '(e,f)'."""
     return "(" + ",".join(sg.names[i] for i in p) + ")"
@@ -125,7 +121,7 @@ def solution_set(sg: FiniteInverseSemigroup, system: EquationSystem) -> PointSet
     ]
     members = frozenset(
         p for p in all_points(sg.order, system.arity)
-        if all(evaluate(sg, l, p) == evaluate(sg, r, p) for l, r in flat)
+        if all(_evaluate_flat(sg, l, p) == _evaluate_flat(sg, r, p) for l, r in flat)
     )
     return PointSet(system.arity, members)
 
@@ -226,7 +222,7 @@ def closure(
     """
     n = pts.arity
     _check_bound("closure", sg.order, n)
-    _check_in_range(sg, pts.members)
+    _check_points(sg, pts.members)
     points = all_points(sg.order, n)
     graph = _subpower(sg, n, sorted(pts.members), max_cells)
     if graph is None:
@@ -247,14 +243,15 @@ def in_subpower_closure(
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> bool | None:
     """Does p lie in the closure of ys?  None when the subalgebra outgrows
-    max_cells cells (vectors times |ys|).
+    max_cells cells (vectors times |ys|); ValueError when ys and p do not
+    share one arity or a coordinate lies outside 0..|S|-1.
 
     A check of one point kept apart from closure(): p is in the closure iff
     the term functions' values on ys + [p], the orbit of term_values, project
     injectively onto the ys coordinates (Bulatov, Mayr and Steindl, IJAC
     2016).  The first collision answers False.
     """
-    _check_in_range(sg, [*ys, p])
+    _check_points(sg, [*ys, p])
     at_p: dict[tuple[int, ...], int] = {}  # each vector's value at p, by its ys part
     for k, v in enumerate(term_values(sg, sorted(ys) + [p]), 1):
         if at_p.setdefault(v[:-1], v[-1]) != v[-1]:
@@ -299,14 +296,15 @@ class Unknown:
 class Certificate:
     """Recheckable evidence for one verdict.
 
-    Kinds: the witness kinds of WITNESS_KINDS (IncomparableWitness,
-    ChainWitness, RosenblattWitness) carry a union of two solution sets plus
-    a witness point that lies in the closure of the union but not in the
-    union; ZeroPresent records an absorbing zero (a semigroup with zero is
-    never an equational domain, a known result cited rather than re-proved
-    here); GroupOutOfScope records that the semigroup is a group, for which
-    this tool makes no claim either way.  The last four fields are None on
-    the two cited kinds.
+    Kinds are the keys of CERTIFICATE_KINDS.  The witness kinds
+    (IncomparableWitness, ChainWitness, RosenblattWitness) carry a union of
+    two solution sets plus a witness point that lies in the closure of the
+    union but not in the union.  The cited kinds record only idempotents:
+    ZeroPresent names the absorbing zero of a non-group (a semigroup with
+    zero and more than one element is never an equational domain, a known
+    result cited rather than re-proved here); GroupOutOfScope names the
+    idempotent of a group, for which this tool makes no claim either way.
+    The last four fields are None on the cited kinds.
     """
 
     kind: str
@@ -338,21 +336,31 @@ def format_certificate(sg: FiniteInverseSemigroup, cert: Certificate) -> str:
 
 
 @dataclass(frozen=True)
-class WitnessKind:
-    """One way to show that a union of two solution sets is not algebraic.
+class CertificateKind:
+    """One way to certify a verdict.
 
     choices lists every idempotent tuple the kind may name, least first, and
-    is empty when the kind does not apply; equations gives the two equations
-    whose solution sets form the union; witness gives the point proved to lie
-    in the closure of the union but not in it, or None when any such point
-    will do (is_algebraic's least witness is reported); subject is what the
-    point-bound message names.
+    is empty when the kind does not apply.  A cited kind has no equations;
+    its choices recheck the cited fact from the Cayley table.  A witness kind
+    shows that a union of two solution sets is not algebraic: equations
+    gives the two equations whose solution sets form the union; witness
+    gives the point proved to lie in the closure of the union but not in
+    it, or None when any such point will do (is_algebraic's least witness is
+    reported); subject is what the point-bound message names.
     """
 
-    subject: str
     choices: Callable[[FiniteInverseSemigroup], tuple[tuple[int, ...], ...]]
-    equations: Callable[[FiniteInverseSemigroup, tuple[int, ...]], tuple[Equation, Equation]]
-    witness: Callable[[FiniteInverseSemigroup, tuple[int, ...]], tuple[int, ...] | None]
+    equations: Callable[[FiniteInverseSemigroup, tuple], tuple[Equation, Equation]] | None = None
+    witness: Callable[[FiniteInverseSemigroup, tuple], tuple[int, ...] | None] | None = None
+    subject: str = "closure"
+
+
+def _zero(sg: FiniteInverseSemigroup) -> tuple[tuple[int], ...]:
+    # a group has a zero only when |S| = 1, where the cited result fails;
+    # the absorbing law is reread from the table
+    z, table = sg.zero, sg.table
+    absorbing = z is not None and all(table[z][s] == z == table[s][z] for s in range(sg.order))
+    return ((z,),) if absorbing and not is_group(sg) else ()
 
 
 def _chain_extremes(sg: FiniteInverseSemigroup) -> tuple[tuple[int, int], ...]:
@@ -362,28 +370,30 @@ def _chain_extremes(sg: FiniteInverseSemigroup) -> tuple[tuple[int, int], ...]:
     return (order.maximal() + order.minimal(),)
 
 
-WITNESS_KINDS: dict[str, WitnessKind] = {
-    "IncomparableWitness": WitnessKind(
-        subject="closure",
+CERTIFICATE_KINDS: dict[str, CertificateKind] = {
+    "GroupOutOfScope": CertificateKind(
+        choices=lambda sg: (tuple(sg.idempotents),) if is_group(sg) else (),
+    ),
+    "ZeroPresent": CertificateKind(choices=_zero),
+    "IncomparableWitness": CertificateKind(
         choices=incomparable_pairs,
         equations=lambda sg, ef: (
             Equation(Var(0), Const(ef[0]), 1), Equation(Var(0), Const(ef[1]), 1)
         ),
         witness=lambda sg, ef: (sg.table[ef[0]][ef[1]],),
     ),
-    "ChainWitness": WitnessKind(
-        subject="closure",
+    "ChainWitness": CertificateKind(
         choices=_chain_extremes,
         equations=lambda sg, tb: (
             Equation(Var(0), Const(tb[0]), 2), Equation(Var(1), Const(tb[0]), 2)
         ),
         witness=lambda sg, tb: (tb[1], tb[1]),
     ),
-    "RosenblattWitness": WitnessKind(
-        subject="rosenblatt union",
+    "RosenblattWitness": CertificateKind(
         choices=lambda sg: ((),),
         equations=lambda sg, _: (Equation(Var(0), Var(1), 4), Equation(Var(2), Var(3), 4)),
         witness=lambda sg, _: None,
+        subject="rosenblatt union",
     ),
 }
 
@@ -393,16 +403,18 @@ def _union_of(sg, equations) -> PointSet:
     return PointSet(a.arity, a.members | b.members)
 
 
-def _witness_certificate(
+def _certificate(
     sg: FiniteInverseSemigroup, kind_name: str, max_cells: int
 ) -> Certificate | Unknown | None:
-    """The certificate of one witness kind: None when the kind does not apply
-    or its union is algebraic, Unknown when the bounds are too small."""
-    kind = WITNESS_KINDS[kind_name]
+    """The certificate of one kind: None when the kind does not apply or its
+    union is algebraic, Unknown when the bounds are too small."""
+    kind = CERTIFICATE_KINDS[kind_name]
     choices = kind.choices(sg)
     if not choices:
         return None
     idem = choices[0]
+    if kind.equations is None:
+        return Certificate(kind_name, idem)
     equations = kind.equations(sg, idem)
     arity = equations[0].arity
     try:
@@ -435,7 +447,7 @@ def lemma4_check(
     that holds on all of V(x1=e) union V(x1=f), so ef lies in the closure of
     that union while ef is neither e nor f: the union is not algebraic.
     """
-    return _witness_certificate(sg, "IncomparableWitness", max_cells)
+    return _certificate(sg, "IncomparableWitness", max_cells)
 
 
 def lemma5_check(
@@ -448,7 +460,7 @@ def lemma5_check(
     every equation holding on all of V(x1=e) union V(x2=e) in S^2, yet lies
     in neither part: that union is not algebraic either.
     """
-    return _witness_certificate(sg, "ChainWitness", max_cells)
+    return _certificate(sg, "ChainWitness", max_cells)
 
 
 def rosenblatt_check(
@@ -458,7 +470,7 @@ def rosenblatt_check(
     (e.g. over the trivial group); a certificate with the least witness point
     when it is not, which is the expected outcome for every inverse
     non-group."""
-    return _witness_certificate(sg, "RosenblattWitness", max_cells)
+    return _certificate(sg, "RosenblattWitness", max_cells)
 
 
 @dataclass(frozen=True)
@@ -482,24 +494,17 @@ def ed_verdict(sg: FiniteInverseSemigroup, *, max_cells: int = DEFAULT_MAX_CELLS
     certificate can be produced the verdict stands by the general theorem but
     is flagged as not certified at this size.
     """
-    if is_group(sg):
-        (e,) = sg.idempotents
-        cert = Certificate("GroupOutOfScope", (e,))
-        return Verdict("GroupOutOfScope", (cert,), ())
-
-    certificates = []
-    truncated = []
-    if sg.zero is not None:
-        certificates.append(Certificate("ZeroPresent", (sg.zero,)))
-    # lemma4 applies exactly when the idempotents are not a chain
-    computed = lemma4_check(sg, max_cells=max_cells)
-    if computed is None:
-        computed = lemma5_check(sg, max_cells=max_cells)
-    if isinstance(computed, Certificate):
-        certificates.append(computed)
-    elif isinstance(computed, Unknown):
-        truncated.append(computed.reason)
-    return Verdict("NotED", tuple(certificates), tuple(truncated))
+    group = _certificate(sg, "GroupOutOfScope", max_cells)
+    if group is not None:
+        return Verdict("GroupOutOfScope", (group,), ())
+    found = (
+        _certificate(sg, "ZeroPresent", max_cells),
+        # lemma4 applies exactly when the idempotents are not a chain
+        lemma4_check(sg, max_cells=max_cells) or lemma5_check(sg, max_cells=max_cells),
+    )
+    certificates = tuple(c for c in found if isinstance(c, Certificate))
+    truncated = tuple(c.reason for c in found if isinstance(c, Unknown))
+    return Verdict("NotED", certificates, truncated)
 
 
 def validate_certificate(
@@ -510,34 +515,22 @@ def validate_certificate(
 ) -> None:
     """Recheck a certificate from scratch; raises CertificateError on any gap.
 
-    Witness kinds recheck that the kind may name the recorded idempotents,
-    recompute the union and re-verify the witness rule; the witness must
+    Every kind rechecks, through its choices, that it may name the recorded
+    idempotents; a cited kind must record nothing more.  A witness kind
+    recomputes the union and re-verifies the witness rule; the witness must
     fail both equations (evaluated directly) and pass in_subpower_closure,
     a one-point check apart from closure(), which only confirms the closure
-    size.  ZeroPresent re-verifies the absorbing law, and GroupOutOfScope
-    the single idempotent.
+    size.
     """
-    if cert.kind == "GroupOutOfScope":
-        if not is_group(sg):
-            raise CertificateError("GroupOutOfScope on a non-group")
-        if set(cert.idempotents) != set(sg.idempotents):
-            raise CertificateError("GroupOutOfScope does not name the idempotent")
-        return
-    if cert.kind == "ZeroPresent":
-        if len(cert.idempotents) != 1:
-            raise CertificateError("ZeroPresent must name exactly the zero")
-        z = cert.idempotents[0]
-        if sg.zero != z:
-            raise CertificateError("ZeroPresent element is not the absorbing zero")
-        for s in range(sg.order):
-            if sg.table[z][s] != z or sg.table[s][z] != z:
-                raise CertificateError("zero law fails")
-        return
-    kind = WITNESS_KINDS.get(cert.kind)
+    kind = CERTIFICATE_KINDS.get(cert.kind)
     if kind is None:
         raise CertificateError(f"unknown certificate kind {cert.kind!r}")
     if cert.idempotents not in kind.choices(sg):
         raise CertificateError(f"{cert.kind} cannot name these idempotents")
+    if kind.equations is None:
+        if any(f is not None for f in (cert.union, cert.witness, cert.closure_size, cert.exact)):
+            raise CertificateError(f"{cert.kind} is cited and records only idempotents")
+        return
     equations = kind.equations(sg, cert.idempotents)
     expected_union = _union_of(sg, equations)
     if cert.union is None or cert.union.members != expected_union.members:
@@ -565,5 +558,9 @@ def validate_certificate(
 def validate_verdict(
     sg: FiniteInverseSemigroup, verdict: Verdict, *, max_cells: int = DEFAULT_MAX_CELLS
 ) -> None:
+    """Recheck the status (GroupOutOfScope exactly on a group) and every
+    certificate; raises CertificateError on any gap."""
+    if verdict.status != ("GroupOutOfScope" if is_group(sg) else "NotED"):
+        raise CertificateError(f"status {verdict.status} does not fit this semigroup")
     for cert in verdict.certificates:
         validate_certificate(sg, cert, max_cells=max_cells)

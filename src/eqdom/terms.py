@@ -274,26 +274,45 @@ def variables_of(term) -> frozenset[int]:
     raise TypeError(f"not a term: {term!r}")
 
 
+def _check_points(semigroup, points) -> None:
+    """ValueError unless the points share one arity and every coordinate is
+    an element index 0..|S|-1."""
+    arities = set()
+    for p in points:
+        arities.add(len(p))
+        if not all(0 <= c < semigroup.order for c in p):
+            raise ValueError(f"point {p} has a coordinate outside 0..{semigroup.order - 1}")
+    if len(arities) > 1:
+        raise ValueError(f"points of mixed arity {sorted(arities)}")
+
+
 def evaluate(semigroup, term, point) -> int:
-    """Value of a Term or FlatTerm at a point (tuple of element indices)."""
+    """Value of a Term or FlatTerm at a point (tuple of element indices);
+    ValueError when a coordinate lies outside 0..|S|-1."""
+    _check_points(semigroup, [point])
     if isinstance(term, FlatTerm):
-        table = semigroup.table
-        inv = semigroup.inv
-        acc = None
-        for lit in term.literals:
-            if isinstance(lit, ConstLit):
-                v = lit.element
-            else:
-                if lit.index >= len(point):
-                    raise ValueError(
-                        f"term uses x{lit.index + 1} but the point has arity {len(point)}"
-                    )
-                v = point[lit.index]
-                if lit.sign < 0:
-                    v = inv[v]
-            acc = v if acc is None else table[acc][v]
-        return acc
+        return _evaluate_flat(semigroup, term, point)
     return _evaluate_ast(semigroup, term, point)
+
+
+def _evaluate_flat(semigroup, term: FlatTerm, point) -> int:
+    """evaluate() without the range check, for points built in range."""
+    table = semigroup.table
+    inv = semigroup.inv
+    acc = None
+    for lit in term.literals:
+        if isinstance(lit, ConstLit):
+            v = lit.element
+        else:
+            if lit.index >= len(point):
+                raise ValueError(
+                    f"term uses x{lit.index + 1} but the point has arity {len(point)}"
+                )
+            v = point[lit.index]
+            if lit.sign < 0:
+                v = inv[v]
+        acc = v if acc is None else table[acc][v]
+    return acc
 
 
 def _evaluate_ast(semigroup, term, point):

@@ -11,13 +11,14 @@ from helpers import direct_product
 from eqdom.catalog import CATALOG_NAMES, by_name, symmetric_inverse_monoid
 from eqdom.geometry import (
     BoundExceededError,
+    CERTIFICATE_KINDS,
     Certificate,
     CertificateError,
     Equation,
     EquationSystem,
     PointSet,
     Unknown,
-    WITNESS_KINDS,
+    Verdict,
     closure,
     ed_verdict,
     format_certificate,
@@ -30,7 +31,7 @@ from eqdom.geometry import (
     validate_certificate,
     validate_verdict,
 )
-from eqdom.terms import Const, Var, all_points, clone_closure, parse
+from eqdom.terms import Const, Var, all_points, clone_closure, evaluate, flatten, parse
 
 C2 = by_name("chain2")
 BRANDT = by_name("brandt_b2")
@@ -82,11 +83,18 @@ def test_system_types_are_checked():
     (lambda: is_algebraic(C2, _points(1, (-1,))), "outside 0..1"),
     (lambda: closure(C2, _points(1, (5,))), "outside 0..1"),
     (lambda: in_subpower_closure(C2, frozenset({(-1,)}), (1,)), "outside 0..1"),
+    (lambda: in_subpower_closure(BRANDT, frozenset({(0,), (3,)}), (4, 1)), "mixed arity"),
+    (lambda: in_subpower_closure(BRANDT, frozenset({(0,), (3, 1)}), (4,)), "mixed arity"),
+    (lambda: evaluate(C2, flatten(C2, parse("x1 e", 1, C2)), (-1,)), "outside 0..1"),
+    (lambda: evaluate(C2, Var(0), (-1,)), "outside 0..1"),
+    (lambda: evaluate(C2, Var(0), (5,)), "outside 0..1"),
     (lambda: Equation(Var(-1), Const(0), 2), ">= 0"),
     (lambda: solution_set(C2, EquationSystem((Equation(Var(0), Const(7), 1),))), "outside 0..1"),
     (lambda: solution_set(C2, EquationSystem((Equation(Var(0), Const(-1), 1),))), "outside 0..1"),
 ], ids=["closure-negative", "is-algebraic-negative", "closure-too-large", "membership-negative",
-        "negative-variable", "constant-too-large", "constant-negative"])
+        "membership-longer-point", "membership-mixed-set", "evaluate-flat-negative",
+        "evaluate-variable-negative", "evaluate-too-large", "negative-variable",
+        "constant-too-large", "constant-negative"])
 def test_indices_outside_s_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -354,6 +362,8 @@ def test_ed_verdict_for_groups():
         assert len(v.certificates) == 1
         assert v.certificates[0].kind == "GroupOutOfScope"
         validate_verdict(by_name(name), v)
+        with pytest.raises(CertificateError, match="status NotED does not fit"):
+            validate_verdict(by_name(name), Verdict("NotED", v.certificates, ()))
 
 
 def test_ed_verdict_kinds_for_non_groups():
@@ -372,6 +382,8 @@ def test_ed_verdict_kinds_for_non_groups():
         assert [c.kind for c in v.certificates] == kinds
         assert v.truncated == ()
         validate_verdict(sg, v)
+        with pytest.raises(CertificateError, match="status GroupOutOfScope does not fit"):
+            validate_verdict(sg, Verdict("GroupOutOfScope", v.certificates, ()))
 
 
 def test_ed_verdict_sim3_is_certified_by_the_zero():
@@ -432,6 +444,11 @@ def test_format_certificate_is_stable():
     )
 
 
+def _cited(sg):
+    # GroupOutOfScope on a group, ZeroPresent on a non-group with zero
+    return ed_verdict(sg).certificates[0]
+
+
 def test_tampered_certificates_fail_revalidation():
     cases = {
         ("brandt_b2", lemma4_check): (
@@ -452,6 +469,14 @@ def test_tampered_certificates_fail_revalidation():
         ),
         # (f,f) lies in closure minus union too, but the rule names (g,g)
         ("chain3", lemma5_check): (("witness", (1, 1)),),
+        # the cited kinds, GroupOutOfScope and ZeroPresent, record nothing more
+        **{(name, _cited): (
+            ("union", PointSet(1, frozenset({(0,), (1,)}))),
+            ("witness", (0,)),
+            ("closure_size", 99),
+            ("exact", False),
+            ("exact", True),
+        ) for name in ("z2", "chain2")},
         ("z2", rosenblatt_check): (
             ("witness", (0, 0, 0, 0)),
             ("witness", (0, 1, 0)),
@@ -484,8 +509,10 @@ def test_wrong_witness_rule_fails_its_membership_facts(monkeypatch, point, reche
     # (e11) lies in the union, (e12) outside the closure; a certificate that
     # names the wrong rule's point fails revalidation too
     cert = dataclasses.replace(lemma4_check(BRANDT), witness=point)
-    kind = dataclasses.replace(WITNESS_KINDS["IncomparableWitness"], witness=lambda sg, ef: point)
-    monkeypatch.setitem(WITNESS_KINDS, "IncomparableWitness", kind)
+    kind = dataclasses.replace(
+        CERTIFICATE_KINDS["IncomparableWitness"], witness=lambda sg, ef: point
+    )
+    monkeypatch.setitem(CERTIFICATE_KINDS, "IncomparableWitness", kind)
     with pytest.raises(CertificateError, match="failed its membership facts"):
         lemma4_check(BRANDT)
     with pytest.raises(CertificateError, match=recheck):
@@ -516,18 +543,43 @@ def test_zero_and_group_certificates_recheck_the_laws():
             kind="ZeroPresent", idempotents=(0,),
             union=None, witness=None, closure_size=None, exact=None,
         ))
-    with pytest.raises(CertificateError, match="must name exactly the zero"):
+    with pytest.raises(CertificateError, match="ZeroPresent cannot name these idempotents"):
         validate_certificate(C2, Certificate("ZeroPresent", (1, 0)))
-    with pytest.raises(CertificateError, match="does not name the idempotent"):
+    with pytest.raises(CertificateError, match="GroupOutOfScope cannot name these idempotents"):
         validate_certificate(by_name("z2"), Certificate("GroupOutOfScope", (1,)))
     # a zero field that names a non-absorbing element fails the law itself
-    with pytest.raises(CertificateError, match="zero law fails"):
+    with pytest.raises(CertificateError, match="ZeroPresent cannot name these idempotents"):
         validate_certificate(dataclasses.replace(C2, zero=0), Certificate("ZeroPresent", (0,)))
     # the genuine zero certificate passes
     v = ed_verdict(C2)
     zero_cert = v.certificates[0]
     assert zero_cert.kind == "ZeroPresent"
     validate_certificate(C2, zero_cert)
+
+
+@pytest.mark.parametrize("name, kind_name, idempotents", [
+    ("chain2", "GroupOutOfScope", (0,)),
+    ("trivial", "ZeroPresent", (0,)),
+    ("z2", "ZeroPresent", (0,)),
+    ("chain3", "IncomparableWitness", (0, 2)),
+    ("brandt_b2", "ChainWitness", (0, 4)),
+    ("z2", "ChainWitness", (0, 0)),
+], ids=["group-on-chain2", "zero-on-trivial", "zero-on-z2", "incomparable-on-chain3",
+        "chain-on-brandt_b2", "chain-on-z2"])
+def test_each_kind_is_rejected_where_it_does_not_apply(name, kind_name, idempotents):
+    # the kind has no choices here; a witness certificate is filled in by its
+    # own rule, and the choices recheck must be what rejects it
+    sg = by_name(name)
+    kind = CERTIFICATE_KINDS[kind_name]
+    assert kind.choices(sg) == ()
+    cert = Certificate(kind_name, idempotents)
+    if kind.equations is not None:
+        parts = [solution_set(sg, EquationSystem((eq,))) for eq in kind.equations(sg, idempotents)]
+        union = PointSet(parts[0].arity, parts[0].members | parts[1].members)
+        size = len(closure(sg, union).points.members)
+        cert = Certificate(kind_name, idempotents, union, kind.witness(sg, idempotents), size, True)
+    with pytest.raises(CertificateError, match=f"{kind_name} cannot name these idempotents"):
+        validate_certificate(sg, cert)
 
 
 def test_every_catalog_name_loads_and_gets_a_verdict():
