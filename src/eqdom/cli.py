@@ -26,22 +26,18 @@ from .geometry import (
     rosenblatt_check,
     solution_set,
     validate_certificate,
+    validate_verdict,
 )
 from .catalog import CATALOG_NAMES, by_name
 from .partialmap import domain_of, render
 from .semigroup import (
-    SemigroupError,
     hasse_dot,
     incomparable_pairs,
     is_group,
     load_semigroup,
     wagner_preston,
 )
-from .terms import DEFAULT_MAX_CELLS, flatten, parse, term_text
-
-
-class InputError(Exception):
-    """User-facing input problem; maps to exit code 2."""
+from .terms import DEFAULT_MAX_CELLS, _check_points, flatten, parse, term_text
 
 
 def _positive_int(text: str) -> int:
@@ -116,12 +112,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     if args.catalog and args.table:
-        raise InputError("give either --catalog or a table file, not both")
+        raise ValueError("give either --catalog or a table file, not both")
     if args.catalog:
         return by_name(args.catalog)
     if args.table:
         return load_semigroup(args.table)
-    raise InputError("no semigroup given: use --catalog or a table file")
+    raise ValueError("no semigroup given: use --catalog or a table file")
 
 
 def _header(args, sg, out):
@@ -136,35 +132,30 @@ def _parse_point(sg, text: str) -> tuple[int, ...]:
         inner = inner[1:-1]
     names = [nm.strip() for nm in inner.split(",")]
     if names == [""]:
-        raise InputError(f"empty point: {text!r}")
+        raise ValueError(f"empty point: {text!r}")
     if "" in names:
-        raise InputError(f"empty coordinate in point: {text!r}")
-    try:
-        return tuple(sg.index(nm) for nm in names)
-    except SemigroupError as exc:
-        raise InputError(str(exc)) from None
+        raise ValueError(f"empty coordinate in point: {text!r}")
+    return tuple(sg.index(nm) for nm in names)
 
 
 def _parse_points(sg, texts, arity_flag):
     if not texts:
-        raise InputError("no points given")
+        raise ValueError("no points given")
     points = [_parse_point(sg, t) for t in texts]
-    arities = {len(p) for p in points}
-    if len(arities) != 1:
-        raise InputError(f"points of mixed arity: {sorted(arities)}")
-    (arity,) = arities
+    _check_points(sg, points)
+    arity = len(points[0])
     if arity_flag is not None and arity_flag != arity:
-        raise InputError(f"--arity {arity_flag} but the points have arity {arity}")
+        raise ValueError(f"--arity {arity_flag} but the points have arity {arity}")
     return PointSet(arity, frozenset(points))
 
 
 def _parse_equations(sg, eq_texts, arity_flag):
     if not eq_texts:
-        raise InputError("no equations given: use --eq 'LHS = RHS'")
+        raise ValueError("no equations given: use --eq 'LHS = RHS'")
     sides = []
     for text in eq_texts:
         if text.count("=") != 1:
-            raise InputError(f"equation must contain exactly one '=': {text!r}")
+            raise ValueError(f"equation must contain exactly one '=': {text!r}")
         lhs, rhs = text.split("=")
         sides.append((lhs, rhs))
     # the largest xK the term lexer reads as a whole identifier
@@ -288,7 +279,10 @@ def cmd_verify(args, sg, out) -> int:
         print(f"truncated: {reason}", file=out)
     if not verdict.certificates:
         return 3
-    return _report_certificates(args, sg, verdict.certificates, out)
+    return _report_certificates(
+        sg, verdict.certificates, out,
+        lambda: validate_verdict(sg, verdict, max_cells=args.max_cells),
+    )
 
 
 def _verify_rosenblatt(args, sg, out) -> int:
@@ -302,17 +296,20 @@ def _verify_rosenblatt(args, sg, out) -> int:
         print("result: algebraic (no certificate)", file=out)
         return 0
     print("result: not-algebraic", file=out)
-    return _report_certificates(args, sg, (result,), out)
+    return _report_certificates(
+        sg, (result,), out,
+        lambda: validate_certificate(sg, result, max_cells=args.max_cells),
+    )
 
 
-def _report_certificates(args, sg, certificates, out) -> int:
-    """Print each certificate, then recheck them all: 0 if they pass, else 1."""
+def _report_certificates(sg, certificates, out, recheck) -> int:
+    """Print each certificate, then the outcome of recheck(): 0 if it
+    passes, 1 if it raises CertificateError."""
     for cert in certificates:
         print("", file=out)
         print(format_certificate(sg, cert), file=out)
     try:
-        for cert in certificates:
-            validate_certificate(sg, cert, max_cells=args.max_cells)
+        recheck()
     except CertificateError as exc:
         print("", file=out)
         print(f"revalidation: FAILED ({exc})", file=out)
@@ -348,7 +345,7 @@ def main(argv=None) -> int:
     try:
         sg = _load(args)
         return _COMMANDS[args.command](args, sg, sys.stdout)
-    except (InputError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

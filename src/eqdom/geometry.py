@@ -398,7 +398,10 @@ CERTIFICATE_KINDS: dict[str, CertificateKind] = {
 }
 
 
-def _union_of(sg, equations) -> PointSet:
+def _union_of(sg, kind: CertificateKind, equations) -> PointSet:
+    """The union of the two equations' solution sets; BoundExceededError,
+    naming kind.subject, when S^arity has more than MAX_POINTS points."""
+    _check_bound(kind.subject, sg.order, equations[0].arity)
     a, b = (solution_set(sg, EquationSystem((eq,))) for eq in equations)
     return PointSet(a.arity, a.members | b.members)
 
@@ -415,13 +418,10 @@ def _certificate(
     idem = choices[0]
     if kind.equations is None:
         return Certificate(kind_name, idem)
-    equations = kind.equations(sg, idem)
-    arity = equations[0].arity
     try:
-        _check_bound(kind.subject, sg.order, arity)
+        u = _union_of(sg, kind, kind.equations(sg, idem))
     except BoundExceededError as exc:
         return Unknown(str(exc))
-    u = _union_of(sg, equations)
     verdict = is_algebraic(sg, u, max_cells=max_cells)
     if verdict.status == "unknown":
         return Unknown("clone truncated; closure is not exact")
@@ -513,7 +513,8 @@ def validate_certificate(
     *,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> None:
-    """Recheck a certificate from scratch; raises CertificateError on any gap.
+    """Recheck a certificate from scratch; raises CertificateError on any gap,
+    a union past the point bound included.
 
     Every kind rechecks, through its choices, that it may name the recorded
     idempotents; a cited kind must record nothing more.  A witness kind
@@ -532,7 +533,10 @@ def validate_certificate(
             raise CertificateError(f"{cert.kind} is cited and records only idempotents")
         return
     equations = kind.equations(sg, cert.idempotents)
-    expected_union = _union_of(sg, equations)
+    try:
+        expected_union = _union_of(sg, kind, equations)
+    except BoundExceededError as exc:
+        raise CertificateError(str(exc)) from None
     if cert.union is None or cert.union.members != expected_union.members:
         raise CertificateError("recorded union does not match its definition")
     rule = kind.witness(sg, cert.idempotents)

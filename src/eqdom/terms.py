@@ -283,7 +283,7 @@ def _check_points(semigroup, points) -> None:
         if not all(0 <= c < semigroup.order for c in p):
             raise ValueError(f"point {p} has a coordinate outside 0..{semigroup.order - 1}")
     if len(arities) > 1:
-        raise ValueError(f"points of mixed arity {sorted(arities)}")
+        raise ValueError(f"points of mixed arity: {sorted(arities)}")
 
 
 def evaluate(semigroup, term, point) -> int:

@@ -1,5 +1,6 @@
 """Command line behavior: output text, exit codes, determinism."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 import eqdom
 from eqdom.cli import main
-from eqdom.geometry import CertificateError
+from eqdom.geometry import CertificateError, ed_verdict
 
 CHAIN2_TEXT = """\
 elements e f
@@ -136,7 +137,7 @@ def test_point_parsing_errors(capsys):
     code, _, err = run(capsys, "closure", "--catalog", "chain2", "(nosuch)")
     assert code == 2 and "unknown element" in err
     code, _, err = run(capsys, "closure", "--catalog", "chain2", "(e)", "(e,f)")
-    assert code == 2 and "mixed arity" in err
+    assert code == 2 and err == "error: points of mixed arity: [1, 2]\n"
     code, _, err = run(
         capsys, "closure", "--catalog", "chain2", "--arity", "2", "(e)"
     )
@@ -220,10 +221,35 @@ def test_verify_reports_a_failed_revalidation(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise CertificateError("forced gap")
 
-    monkeypatch.setattr("eqdom.cli.validate_certificate", fail)
+    monkeypatch.setattr("eqdom.cli.validate_verdict", fail)
     code, out, _ = run(capsys, "verify", "--catalog", "chain2")
     assert code == 1
     assert out.endswith("\nrevalidation: FAILED (forced gap)\n")
+
+
+def test_verify_rosenblatt_reports_a_failed_revalidation(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise CertificateError("forced gap")
+
+    monkeypatch.setattr("eqdom.cli.validate_certificate", fail)
+    code, out, _ = run(capsys, "verify", "--catalog", "chain2", "--rosenblatt")
+    assert code == 1
+    assert out.endswith("\nrevalidation: FAILED (forced gap)\n")
+
+
+def test_verify_rechecks_the_verdict_status(capsys, monkeypatch):
+    # chain2 is not a group: a verdict that says otherwise fails the recheck,
+    # though each of its certificates is sound
+    def forged(sg, **kwargs):
+        return dataclasses.replace(ed_verdict(sg, **kwargs), status="GroupOutOfScope")
+
+    monkeypatch.setattr("eqdom.cli.ed_verdict", forged)
+    code, out, _ = run(capsys, "verify", "--catalog", "chain2")
+    assert code == 1
+    assert "verdict: GroupOutOfScope\n" in out
+    assert out.endswith(
+        "\nrevalidation: FAILED (status GroupOutOfScope does not fit this semigroup)\n"
+    )
 
 
 def test_verify_rosenblatt_chain2(capsys):

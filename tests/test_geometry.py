@@ -498,6 +498,15 @@ def test_tampered_certificates_fail_revalidation():
     # the union {(e11), (e22)} has 3 vectors on 2 points, past a 4-cell cap
     with pytest.raises(CertificateError, match="closure no longer exact"):
         validate_certificate(BRANDT, lemma4_check(BRANDT), max_cells=4)
+    # the sim3 Rosenblatt union has 1,336,336 points, past the point bound
+    sim3 = by_name("sim3")
+    forged = Certificate("RosenblattWitness", (), None, (0, 0, 0, 1), 5, True)
+    for recheck in (
+        lambda: validate_certificate(sim3, forged),
+        lambda: validate_verdict(sim3, Verdict("NotED", (forged,), ())),
+    ):
+        with pytest.raises(CertificateError, match="needs 1336336 points, bound is 20000"):
+            recheck()
 
 
 @pytest.mark.parametrize("point, recheck", [

@@ -1,0 +1,103 @@
+"""Property tests: the verdict on random finite inverse semigroups.
+
+By Wagner-Preston every finite inverse semigroup is an inverse subsemigroup
+of some symmetric inverse monoid I_n.  The draws close random partial
+injections under composition and inversion, so they sample the inverse
+subsemigroups of I_n for n <= 3.  On so few points nearly every non-group
+drawn has a zero, so half the draws are taken times Z2, which has none: a
+group times a non-group is a zero-free non-group, and its computed witness
+certificate stands alone.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from helpers import direct_product
+from eqdom.catalog import by_name
+from eqdom.geometry import ed_verdict, validate_verdict
+from eqdom.partialmap import GroundSet, PartialInjection, compose, inverse
+from eqdom.semigroup import validate
+
+WITNESS_KINDS = ("IncomparableWitness", "ChainWitness")
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def _closed(gens):
+    """The inverse subsemigroup generated by gens, in the order a worklist
+    of right products reaches it (gens closed under inverse, so every
+    element is such a product)."""
+    gens = list(dict.fromkeys([*gens, *map(inverse, gens)]))
+    reached = list(gens)
+    seen = set(reached)
+    for a in reached:  # reached grows while iterated: the worklist
+        for g in gens:
+            product = compose(a, g)
+            if product not in seen:
+                seen.add(product)
+                reached.append(product)
+    return reached
+
+
+@st.composite
+def inverse_semigroups(draw):
+    n = draw(st.integers(1, 3))
+    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+    injection = st.builds(
+        lambda perm, keep: PartialInjection(
+            ground, tuple(j if k else None for j, k in zip(perm, keep))
+        ),
+        st.permutations(range(n)),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )
+    maps = _closed(draw(st.lists(injection, min_size=1, max_size=3)))
+    index = {m: k for k, m in enumerate(maps)}
+    sg = validate(
+        ["".join("_" if j is None else str(j + 1) for j in m.images) for m in maps],
+        [[index[compose(a, b)] for b in maps] for a in maps],
+        "random",
+    )
+    return direct_product(by_name("z2"), sg) if draw(st.booleans()) else sg
+
+
+def _is_group(sg):
+    # an identity and a two-sided inverse of each element, read off the table
+    e, table = sg.identity, sg.table
+    return e is not None and all(
+        any(table[s][t] == e == table[t][s] for t in range(sg.order))
+        for s in range(sg.order)
+    )
+
+
+def _relabelled(sg, perm):
+    """The same semigroup with element s renamed to index perm[s]."""
+    names = [""] * sg.order
+    table = [[0] * sg.order for _ in range(sg.order)]
+    for s in range(sg.order):
+        names[perm[s]] = sg.names[s]
+        for t in range(sg.order):
+            table[perm[s]][perm[t]] = perm[sg.table[s][t]]
+    return validate(names, table, sg.label)
+
+
+@SETTINGS
+@given(inverse_semigroups())
+def test_every_non_group_gets_an_exact_witness(sg):
+    v = ed_verdict(sg)
+    assert (v.status == "GroupOutOfScope") == _is_group(sg)
+    validate_verdict(sg, v)
+    if v.status == "GroupOutOfScope":
+        return
+    assert v.status == "NotED" and v.certified and v.truncated == ()
+    kinds = [c.kind for c in v.certificates]
+    assert ("ZeroPresent" in kinds) == (sg.zero is not None)
+    (witness,) = [c for c in v.certificates if c.kind in WITNESS_KINDS]
+    assert witness.exact is True and witness.witness is not None
+
+
+@SETTINGS
+@given(st.data())
+def test_verdict_does_not_depend_on_the_labels(data):
+    sg = data.draw(inverse_semigroups())
+    perm = data.draw(st.permutations(range(sg.order)))
+    v, moved = ed_verdict(sg), ed_verdict(_relabelled(sg, perm))
+    assert moved.status == v.status
+    assert [c.kind for c in moved.certificates] == [c.kind for c in v.certificates]
