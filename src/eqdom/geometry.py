@@ -45,9 +45,10 @@ class CertificateError(RuntimeError):
 
 
 def _check_bound(what: str, order: int, arity: int) -> None:
-    # a count past 2^64 is neither computed nor printed: at a large arity
-    # that would take more time and memory than the bound is there to save
-    huge = (order.bit_length() - 1) * arity > 64
+    # a count past 2^64 is printed as "more than 2^64"; the first test keeps
+    # a large power from being computed, and once it passes the count is
+    # below 2^128
+    huge = (order.bit_length() - 1) * arity > 64 or order ** arity > 2 ** 64
     if huge or order ** arity > MAX_POINTS:
         count = "more than 2^64" if huge else order ** arity
         raise BoundExceededError(

@@ -44,15 +44,6 @@ class GoodTerm:
 VAR_ONLY = GoodTerm(None)
 
 
-def _s1_mul(semigroup, a: int | None, b: int | None) -> int | None:
-    """Product in the semigroup with a formal identity adjoined."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return semigroup.table[a][b]
-
-
 def evaluate_good(semigroup, good: GoodTerm, e: int) -> int:
     """Value at an idempotent argument; rejects non-idempotents."""
     if not 0 <= e < semigroup.order:
@@ -105,7 +96,7 @@ def _normal_form(semigroup, flat: FlatTerm, arity: int):
     conjugators: list[list[int | None]] = [[] for _ in range(arity)]
     for lit in flat.literals:
         if isinstance(lit, ConstLit):
-            prefix = _s1_mul(semigroup, prefix, lit.element)
+            prefix = lit.element if prefix is None else semigroup.table[prefix][lit.element]
         else:
             conjugators[lit.index].append(prefix)
     goods = tuple(GoodTerm(tuple(c)) for c in conjugators)

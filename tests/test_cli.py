@@ -400,6 +400,19 @@ def test_solve_respects_the_point_bound(capsys):
         "solutions: unknown (solution set over arity 5000 needs more than 2^64 points, "
         "bound is 20000)\n"
     )
+    # the count is printed up to 2^64 and not past it, on either side of the
+    # shortcut that keeps a large power from being computed
+    for arity, count in (
+        (40, "12157665459056928801"), (41, "more than 2^64"), (64, "more than 2^64")
+    ):
+        code, out, _ = run(
+            capsys, "solve", "--catalog", "z3", "--arity", str(arity), "--eq", "x1 = 1"
+        )
+        assert code == 3
+        assert out.endswith(
+            f"solutions: unknown (solution set over arity {arity} needs {count} points, "
+            "bound is 20000)\n"
+        )
     # S^arity is one point on the trivial semigroup, but a point too long to build
     for argv in (("--arity", "100000", "--eq", "x1 = e"), ("--eq", "x100000 = e")):
         code, out, _ = run(capsys, "solve", "--catalog", "trivial", *argv)

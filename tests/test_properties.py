@@ -15,7 +15,7 @@ from helpers import direct_product
 from eqdom.catalog import by_name
 from eqdom.geometry import ed_verdict, validate_verdict
 from eqdom.partialmap import GroundSet, PartialInjection, compose, inverse
-from eqdom.semigroup import validate
+from eqdom.semigroup import validate, wagner_preston
 
 WITNESS_KINDS = ("IncomparableWitness", "ChainWitness")
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
@@ -101,3 +101,14 @@ def test_verdict_does_not_depend_on_the_labels(data):
     v, moved = ed_verdict(sg), ed_verdict(_relabelled(sg, perm))
     assert moved.status == v.status
     assert [c.kind for c in moved.certificates] == [c.kind for c in v.certificates]
+
+
+@SETTINGS
+@given(inverse_semigroups())
+def test_wagner_preston_is_faithful(sg):
+    theta = wagner_preston(sg)
+    assert len(set(theta)) == sg.order
+    for s in range(sg.order):
+        assert inverse(theta[s]) == theta[sg.inv[s]]
+        for t in range(sg.order):
+            assert compose(theta[s], theta[t]) == theta[sg.table[s][t]]

@@ -14,7 +14,6 @@ from eqdom.catalog import (
 )
 from eqdom.partialmap import compose, inverse as pinv
 from eqdom.semigroup import (
-    EmbeddingError,
     NonAssociativeError,
     NotInverseError,
     SemigroupError,
@@ -220,6 +219,19 @@ def test_wagner_preston_is_faithful_on_catalog():
         for s in range(sg.order):
             assert compose(theta[s], theta[sg.inv[s]]) == theta[sg.table[s][sg.inv[s]]]
             assert pinv(theta[s]) == theta[sg.inv[s]]
+
+
+def test_wagner_preston_is_faithful_on_sim4():
+    # validate() is the only check at run time, so the embedding laws are
+    # checked here: on an associative table, theta_u theta_g = theta_(ug)
+    # for every generator g gives theta_u theta_t = theta_(ut) for every t
+    sg = symmetric_inverse_monoid(4)
+    theta = wagner_preston(sg)
+    assert len(set(theta)) == sg.order == 209
+    for u in range(sg.order):
+        assert pinv(theta[u]) == theta[sg.inv[u]]
+        for g in sg.generating_set:
+            assert compose(theta[u], theta[g]) == theta[sg.table[u][g]]
 
 
 def test_hasse_dot_chain3():
