@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 from string import ascii_lowercase
 
@@ -102,4 +101,4 @@ def by_name(name: str) -> FiniteInverseSemigroup:
     except KeyError:
         known = " ".join(CATALOG_NAMES)
         raise ValueError(f"unknown catalog name {name!r} (known: {known})") from None
-    return replace(factory(), label=name)
+    return factory().replace(label=name)

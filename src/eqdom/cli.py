@@ -158,9 +158,9 @@ def _parse_equations(sg, eq_texts, arity_flag):
             raise ValueError(f"equation must contain exactly one '=': {text!r}")
         lhs, rhs = text.split("=")
         sides.append((lhs, rhs))
-    # the largest xK the term lexer reads as a whole identifier
+    # the largest xK the term lexer reads as a whole identifier, at least 1
     arity = arity_flag or max(
-        (int(k) for text in eq_texts for k in re.findall(r"\bx([0-9]+)\b", text)), default=1
+        [1, *(int(k) for text in eq_texts for k in re.findall(r"\bx([0-9]+)\b", text))]
     )
     equations = tuple(
         Equation(parse(lhs, arity, sg), parse(rhs, arity, sg), arity)

@@ -8,10 +8,11 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import getitem, itemgetter
+from itertools import compress
+from operator import eq as equal, getitem, itemgetter
 from typing import Callable
 
+from ._value import Value
 from .semigroup import (
     FiniteInverseSemigroup,
     incomparable_pairs,
@@ -25,7 +26,7 @@ from .terms import (
     Term,
     Var,
     _check_points,
-    _evaluate_flat,
+    _values_at,
     all_points,
     evaluate,
     flatten,
@@ -63,8 +64,7 @@ def _check_bound(what: str, order: int, arity: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Value):
     lhs: Term
     rhs: Term
     arity: int
@@ -75,8 +75,7 @@ class Equation:
             raise ValueError(f"equation uses x{max(used) + 1} but has arity {self.arity}")
 
 
-@dataclass(frozen=True)
-class EquationSystem:
+class EquationSystem(Value):
     equations: tuple[Equation, ...]
 
     def __post_init__(self) -> None:
@@ -91,8 +90,7 @@ class EquationSystem:
         return self.equations[0].arity
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Value):
     arity: int
     members: frozenset[tuple[int, ...]]
 
@@ -117,18 +115,15 @@ def solution_set(sg: FiniteInverseSemigroup, system: EquationSystem) -> PointSet
     more than MAX_POINTS points, or the arity itself exceeds MAX_POINTS.
     """
     _check_bound("solution set", sg.order, system.arity)
-    flat = [
-        (flatten(sg, eq.lhs), flatten(sg, eq.rhs)) for eq in system.equations
-    ]
-    members = frozenset(
-        p for p in all_points(sg.order, system.arity)
-        if all(_evaluate_flat(sg, l, p) == _evaluate_flat(sg, r, p) for l, r in flat)
-    )
-    return PointSet(system.arity, members)
+    points = list(all_points(sg.order, system.arity))
+    # each equation narrows the points left, its sides evaluated at all of them
+    for eq in system.equations:
+        lhs, rhs = (_values_at(sg, flatten(sg, t), points) for t in (eq.lhs, eq.rhs))
+        points = list(compress(points, map(equal, lhs, rhs)))
+    return PointSet(system.arity, frozenset(points))
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(Value):
     points: PointSet
     exact: bool
 
@@ -262,8 +257,7 @@ def in_subpower_closure(
     return True
 
 
-@dataclass(frozen=True)
-class AlgebraicVerdict:
+class AlgebraicVerdict(Value):
     status: str  # "yes" | "no" | "unknown"
     witness: tuple[int, ...] | None
     report: ClosureReport
@@ -286,15 +280,13 @@ def is_algebraic(
     return AlgebraicVerdict("no", witness, report)
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Value):
     """A check that could not finish within bounds; never a negative answer."""
 
     reason: str
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """Recheckable evidence for one verdict.
 
     Kinds are the keys of CERTIFICATE_KINDS.  The witness kinds
@@ -336,8 +328,7 @@ def format_certificate(sg: FiniteInverseSemigroup, cert: Certificate) -> str:
     ])
 
 
-@dataclass(frozen=True)
-class CertificateKind:
+class CertificateKind(Value):
     """One way to certify a verdict.
 
     choices lists every idempotent tuple the kind may name, least first, and
@@ -474,8 +465,7 @@ def rosenblatt_check(
     return _certificate(sg, "RosenblattWitness", max_cells)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     status: str  # "GroupOutOfScope" | "NotED"
     certificates: tuple[Certificate, ...]
     truncated: tuple[str, ...]

@@ -20,13 +20,11 @@ checked against direct evaluation by the tests, not at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .terms import ConstLit, FlatTerm, variables_of
 
 
-@dataclass(frozen=True)
-class GoodTerm:
+class GoodTerm(Value):
     """conjugators is None for the bare variable, else a nonempty tuple over
     the semigroup with formal identity (None marks the formal identity)."""
 
@@ -61,14 +59,12 @@ def evaluate_good(semigroup, good: GoodTerm, e: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class NormalizedUnary:
+class NormalizedUnary(Value):
     good: GoodTerm
     tail: int | None  # None is the formal identity
 
 
-@dataclass(frozen=True)
-class NormalizedBinary:
+class NormalizedBinary(Value):
     good_x: GoodTerm
     good_y: GoodTerm
     tail: int | None

@@ -8,17 +8,17 @@ embeds any finite inverse semigroup into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Iterator
+
+from ._value import Value
 
 
 class GroundMismatchError(ValueError):
     """Raised when two maps over different ground sets are combined."""
 
 
-@dataclass(frozen=True)
-class GroundSet:
+class GroundSet(Value):
     """Immutable, ordered universe of points identified by distinct labels."""
 
     labels: tuple[str, ...]
@@ -34,8 +34,7 @@ class GroundSet:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class PartialInjection:
+class PartialInjection(Value):
     """images[i] is the image index of point i, or None where undefined."""
 
     ground: GroundSet

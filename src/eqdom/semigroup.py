@@ -11,9 +11,9 @@ these laws.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._value import Value
 from .partialmap import GroundSet, PartialInjection
 from .terms import _IDENT
 
@@ -53,8 +53,7 @@ class TableFormatError(ValueError):
     """Raised for malformed Cayley-table text."""
 
 
-@dataclass(frozen=True)
-class FiniteInverseSemigroup:
+class FiniteInverseSemigroup(Value, uncompared=("generating_set", "label")):
     names: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
@@ -62,8 +61,8 @@ class FiniteInverseSemigroup:
     zero: int | None
     identity: int | None
     # an irredundant semigroup generating set, found once by validate()
-    generating_set: tuple[int, ...] = field(compare=False)
-    label: str = field(default="", compare=False)
+    generating_set: tuple[int, ...]
+    label: str = ""
 
     @property
     def order(self) -> int:
@@ -221,12 +220,11 @@ def is_group(sg: FiniteInverseSemigroup) -> bool:
     return len(sg.idempotents) == 1
 
 
-@dataclass(frozen=True)
-class IdempotentOrder:
+class IdempotentOrder(Value, hidden=("table",)):
     """The natural partial order e <= f iff ef = e, restricted to idempotents."""
 
     elements: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...] = field(repr=False)
+    table: tuple[tuple[int, ...], ...]
 
     def leq(self, e: int, f: int) -> bool:
         return self.table[e][f] == e

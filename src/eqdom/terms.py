@@ -10,10 +10,11 @@ and adjacent constants fuse through the Cayley table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, product as _cartesian
-from operator import getitem
+from itertools import islice, product as _cartesian, repeat
+from operator import getitem, itemgetter
+
+from ._value import Value
 
 DEFAULT_MAX_CELLS = 5_000_000
 # Most literals a parsed term may have after '^k' expansion, and deepest
@@ -22,8 +23,7 @@ DEFAULT_MAX_CELLS = 5_000_000
 MAX_TERM_SIZE = 100
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Value):
     index: int
 
     def __post_init__(self) -> None:
@@ -31,27 +31,23 @@ class Var:
             raise ValueError(f"variable index must be >= 0, got {self.index}")
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(Value):
     element: int
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Value):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Inverse:
+class Inverse(Value):
     inner: "Term"
 
 
 Term = Var | Const | Product | Inverse
 
 
-@dataclass(frozen=True)
-class VarLit:
+class VarLit(Value):
     index: int
     sign: int  # +1 or -1
 
@@ -62,16 +58,14 @@ class VarLit:
             raise ValueError(f"literal sign must be +1 or -1, got {self.sign}")
 
 
-@dataclass(frozen=True)
-class ConstLit:
+class ConstLit(Value):
     element: int
 
 
 Literal = VarLit | ConstLit
 
 
-@dataclass(frozen=True)
-class FlatTerm:
+class FlatTerm(Value):
     """Nonempty product of literals with no two adjacent constants."""
 
     literals: tuple[Literal, ...]
@@ -291,28 +285,29 @@ def evaluate(semigroup, term, point) -> int:
     ValueError when a coordinate lies outside 0..|S|-1."""
     _check_points(semigroup, [point])
     if isinstance(term, FlatTerm):
-        return _evaluate_flat(semigroup, term, point)
+        return _values_at(semigroup, term, [point])[0]
     return _evaluate_ast(semigroup, term, point)
 
 
-def _evaluate_flat(semigroup, term: FlatTerm, point) -> int:
-    """evaluate() without the range check, for points built in range."""
-    table = semigroup.table
-    inv = semigroup.inv
-    acc = None
+def _values_at(semigroup, term: FlatTerm, points: list) -> list[int]:
+    """The term's value at each of points (a list of points of one arity,
+    in range), computed a literal at a time over all of them."""
+    values = None
     for lit in term.literals:
         if isinstance(lit, ConstLit):
-            v = lit.element
+            column = repeat(lit.element, len(points))
+        elif points and lit.index >= len(points[0]):
+            raise ValueError(
+                f"term uses x{lit.index + 1} but the point has arity {len(points[0])}"
+            )
         else:
-            if lit.index >= len(point):
-                raise ValueError(
-                    f"term uses x{lit.index + 1} but the point has arity {len(point)}"
-                )
-            v = point[lit.index]
+            column = map(itemgetter(lit.index), points)
             if lit.sign < 0:
-                v = inv[v]
-        acc = v if acc is None else table[acc][v]
-    return acc
+                column = map(semigroup.inv.__getitem__, column)
+        if values is not None:
+            column = map(getitem, map(semigroup.table.__getitem__, values), column)
+        values = list(column)
+    return values
 
 
 def _evaluate_ast(semigroup, term, point):
@@ -351,8 +346,7 @@ def all_points(order: int, arity: int):
     return _cartesian(range(order), repeat=arity)
 
 
-@dataclass(frozen=True)
-class CloneResult:
+class CloneResult(Value):
     functions: tuple[tuple[int, ...], ...]  # value tables in orbit order
     complete: bool
     order: int

@@ -1,6 +1,5 @@
 """Command line behavior: output text, exit codes, determinism."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -90,6 +89,15 @@ def test_solve_requires_an_equation(capsys):
     code, out, err = run(capsys, "solve", "--catalog", "chain2")
     assert code == 2
     assert "no equations" in err
+
+
+def test_solve_infers_arity_at_least_one(capsys):
+    # x0 names no variable: an input error at the inferred arity 1, never
+    # a system of arity 0
+    code, out, err = run(capsys, "solve", "--catalog", "chain2", "--eq", "x0 = e")
+    assert (code, out) == (2, "")
+    assert "variable x0 out of range for arity 1" in err
+    assert "arity 0" not in err
 
 
 def test_solve_infers_arity_and_accepts_multiple_equations(capsys):
@@ -241,7 +249,7 @@ def test_verify_rechecks_the_verdict_status(capsys, monkeypatch):
     # chain2 is not a group: a verdict that says otherwise fails the recheck,
     # though each of its certificates is sound
     def forged(sg, **kwargs):
-        return dataclasses.replace(ed_verdict(sg, **kwargs), status="GroupOutOfScope")
+        return ed_verdict(sg, **kwargs).replace(status="GroupOutOfScope")
 
     monkeypatch.setattr("eqdom.cli.ed_verdict", forged)
     code, out, _ = run(capsys, "verify", "--catalog", "chain2")
@@ -426,18 +434,21 @@ def test_solve_respects_the_point_bound(capsys):
 
 def test_import_loads_no_numpy_and_no_goodterms():
     # eqdom has no runtime dependency, so a CLI call must not pay for numpy;
-    # nor for eqdom.goodterms, which no CLI command calls
+    # nor for eqdom.goodterms, which no CLI command calls; nor for
+    # dataclasses and the inspect module it imports, which a bare
+    # interpreter does not load
     src = str(Path(eqdom.__file__).resolve().parents[1])
     code = (
         "import sys, eqdom, eqdom.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')); "
-        "print('eqdom.goodterms' in sys.modules)"
+        "print('eqdom.goodterms' in sys.modules); "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout == "[]\nFalse\n"
+    assert result.stdout == "[]\nFalse\n[]\n"
 
 
 def test_python_dash_m_runs_main(capsys):

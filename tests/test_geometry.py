@@ -1,6 +1,5 @@
 """Solution sets, algebraic closure, and the certificate-producing checks."""
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -492,7 +491,7 @@ def test_tampered_certificates_fail_revalidation():
         cert = check(sg)
         validate_certificate(sg, cert)
         for field, value in tampered:
-            bad = dataclasses.replace(cert, **{field: value})
+            bad = cert.replace(**{field: value})
             with pytest.raises(CertificateError):
                 validate_certificate(sg, bad)
     # the union {(e11), (e22)} has 3 vectors on 2 points, past a 4-cell cap
@@ -517,9 +516,9 @@ def test_wrong_witness_rule_fails_its_membership_facts(monkeypatch, point, reche
     # on brandt_b2 the union is {(e11), (e22)} and its closure adds only (0):
     # (e11) lies in the union, (e12) outside the closure; a certificate that
     # names the wrong rule's point fails revalidation too
-    cert = dataclasses.replace(lemma4_check(BRANDT), witness=point)
-    kind = dataclasses.replace(
-        CERTIFICATE_KINDS["IncomparableWitness"], witness=lambda sg, ef: point
+    cert = lemma4_check(BRANDT).replace(witness=point)
+    kind = CERTIFICATE_KINDS["IncomparableWitness"].replace(
+        witness=lambda sg, ef: point
     )
     monkeypatch.setitem(CERTIFICATE_KINDS, "IncomparableWitness", kind)
     with pytest.raises(CertificateError, match="failed its membership facts"):
@@ -538,7 +537,7 @@ def test_revalidation_accepts_every_valid_witness_choice():
     cert = rosenblatt_check(C2)
     for p in all_points(2, 4):
         if p not in cert.union.members:
-            validate_certificate(C2, dataclasses.replace(cert, witness=p))
+            validate_certificate(C2, cert.replace(witness=p))
 
 
 def test_zero_and_group_certificates_recheck_the_laws():
@@ -558,7 +557,7 @@ def test_zero_and_group_certificates_recheck_the_laws():
         validate_certificate(by_name("z2"), Certificate("GroupOutOfScope", (1,)))
     # a zero field that names a non-absorbing element fails the law itself
     with pytest.raises(CertificateError, match="ZeroPresent cannot name these idempotents"):
-        validate_certificate(dataclasses.replace(C2, zero=0), Certificate("ZeroPresent", (0,)))
+        validate_certificate(C2.replace(zero=0), Certificate("ZeroPresent", (0,)))
     # the genuine zero certificate passes
     v = ed_verdict(C2)
     zero_cert = v.certificates[0]

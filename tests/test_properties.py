@@ -9,13 +9,22 @@ group times a non-group is a zero-free non-group, and its computed witness
 certificate stands alone.
 """
 
+import random
+
 from hypothesis import given, settings, strategies as st
 
-from helpers import direct_product
+from helpers import direct_product, random_term
 from eqdom.catalog import by_name
-from eqdom.geometry import ed_verdict, validate_verdict
+from eqdom.geometry import (
+    Equation,
+    EquationSystem,
+    ed_verdict,
+    solution_set,
+    validate_verdict,
+)
 from eqdom.partialmap import GroundSet, PartialInjection, compose, inverse
 from eqdom.semigroup import validate, wagner_preston
+from eqdom.terms import _evaluate_ast, all_points
 
 WITNESS_KINDS = ("IncomparableWitness", "ChainWitness")
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
@@ -112,3 +121,23 @@ def test_wagner_preston_is_faithful(sg):
         assert inverse(theta[s]) == theta[sg.inv[s]]
         for t in range(sg.order):
             assert compose(theta[s], theta[t]) == theta[sg.table[s][t]]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(inverse_semigroups(), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32))
+def test_solution_set_is_the_per_point_filter(sg, arity, count, seed):
+    # solution_set evaluates each side at every point at once; the reference
+    # evaluates the unflattened terms one point at a time
+    while arity > 1 and sg.order ** arity > 2_000:
+        arity -= 1
+    rng = random.Random(seed)
+    sides = [
+        (random_term(rng, arity, sg.order), random_term(rng, arity, sg.order))
+        for _ in range(count)
+    ]
+    system = EquationSystem(tuple(Equation(l, r, arity) for l, r in sides))
+    expected = {
+        p for p in all_points(sg.order, arity)
+        if all(_evaluate_ast(sg, l, p) == _evaluate_ast(sg, r, p) for l, r in sides)
+    }
+    assert solution_set(sg, system).members == expected
