@@ -4,10 +4,12 @@ random_terms() is the one piece of machinery several test modules need: a
 deterministic stream of random term ASTs with a bounded number of literal
 leaves.  Everything is driven by an explicit random.Random so reruns see the
 same terms.  direct_product() builds semigroups beyond the catalog.
+plain_orbit() is a reference subpower orbit, kept apart from the library's.
 """
 
 import random
 from functools import lru_cache
+from operator import getitem
 
 from eqdom.catalog import by_name
 from eqdom.semigroup import validate
@@ -61,3 +63,23 @@ def direct_product(a, b):
         for x, y in pairs
     ]
     return validate(names, table, f"{a.label}x{b.label}")
+
+
+def plain_orbit(sg, ys, arity):
+    """Every term function's values on ys (a list of points of the arity),
+    as a set: the orbit of the literal and constant columns under right
+    products, each product taken entry by entry from the Cayley table."""
+    inv, table = sg.inv, sg.table
+    gens = [(c,) * len(ys) for c in range(sg.order)]
+    for i in range(arity):
+        gens += [tuple(y[i] for y in ys), tuple(inv[y[i]] for y in ys)]
+    orbit = list(dict.fromkeys(gens))
+    seen = set(orbit)
+    for v in orbit:  # orbit grows while iterated: the worklist
+        rows = list(map(table.__getitem__, v))
+        for g in gens:
+            product = tuple(map(getitem, rows, g))
+            if product not in seen:
+                seen.add(product)
+                orbit.append(product)
+    return seen

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import direct_product
+from helpers import direct_product, plain_orbit
 from eqdom.catalog import CATALOG_NAMES, by_name, symmetric_inverse_monoid
 from eqdom.geometry import (
     BoundExceededError,
@@ -269,6 +269,28 @@ def test_cap_counts_vectors_times_points():
     assert not closure(sim3, y, max_cells=268 * 2 - 1).exact
     assert in_subpower_closure(sim3, y.members, witness, max_cells=268 * 2) is True
     assert in_subpower_closure(sim3, y.members, witness, max_cells=268 * 2 - 1) is None
+
+
+def _sim2_top_union():
+    # V(x1=12) or V(x2=12) in sim2^2, 12 the identity: 13 points
+    sim2 = by_name("sim2")
+    top = Const(sim2.index("12"))
+    a, b = (solution_set(sim2, EquationSystem((Equation(Var(i), top, 2),))) for i in (0, 1))
+    return sim2, PointSet(2, a.members | b.members)
+
+
+@pytest.mark.parametrize("union", [
+    lambda: (C2, lemma5_check(C2).union),
+    _sim2_top_union,
+])
+def test_cap_falls_at_vectors_times_points(union):
+    # |B| counted by the reference orbit: closure() is exact with exactly
+    # |B| |Y| cells and gives up one cell short
+    sg, y = union()
+    cells = len(plain_orbit(sg, sorted(y.members), y.arity)) * len(y.members)
+    exact = closure(sg, y, max_cells=cells)
+    assert exact.exact and exact.points == closure(sg, y).points
+    assert not closure(sg, y, max_cells=cells - 1).exact
 
 
 def test_lemma4_none_on_chains():
