@@ -34,16 +34,24 @@ class Value:
 
     @classmethod
     def _bind(cls, args, kwargs) -> list:
-        """The field values, in order, of a call with keywords or defaults;
-        TypeError unless zip and update lose no value and the names given or
-        defaulted are exactly the fields."""
+        """The field values, in order, of a call with keywords or defaults:
+        args, then each later field from kwargs or else its default.
+        TypeError unless that takes every keyword and misses no field."""
         fields = cls._fields
-        given = dict(zip(fields, args))
-        given.update(kwargs)
-        values = {**cls._defaults, **given}
-        if len(args) <= len(fields) and len(given) == len(args) + len(kwargs):
-            if len(values) == len(fields) and all(map(values.__contains__, fields)):
-                return list(map(values.__getitem__, fields))
+        values = list(args)
+        if len(values) <= len(fields):
+            defaults, taken = cls._defaults, 0
+            for name in fields[len(values):]:
+                if name in kwargs:
+                    values.append(kwargs[name])
+                    taken += 1
+                elif name in defaults:
+                    values.append(defaults[name])
+                else:
+                    break
+            else:
+                if taken == len(kwargs):
+                    return values
         raise TypeError(f"{cls.__name__}() takes the fields ({', '.join(fields)}), got "
                         f"{len(args)} positional value(s) and keywords ({', '.join(kwargs)})")
 

@@ -8,8 +8,8 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import eq as equal, getitem, itemgetter
+from itertools import chain, compress
+from operator import eq as equal, itemgetter
 from typing import Callable
 
 from ._value import Value
@@ -26,6 +26,8 @@ from .terms import (
     Term,
     Var,
     _check_points,
+    _gather,
+    _right_gathers,
     _values_at,
     all_points,
     evaluate,
@@ -152,7 +154,8 @@ def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
     Generators with equal columns give equal products, so a product by a
     later one is never new and is not taken.
     """
-    width = 2 * arity + len(sg.generating_set)
+    literals = 2 * arity
+    width = literals + len(sg.generating_set)
     columns = list(zip(*(_generator_values(sg, y) for y in ys))) or [()] * width
     index: dict[tuple[int, ...], int] = {}
     roots = [index.setdefault(column, len(index)) for column in columns]
@@ -161,12 +164,15 @@ def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
     vectors = list(index)
     parents: list[tuple[int, int]] = []
     steps: list[tuple[int, list[int]]] = [(roots.index(r), []) for r in range(len(index))]
-    table = sg.table
+    # steps run in generator order, the literals' first
+    right, flats, at_flat = _right_gathers(
+        sg, [columns[j] for j, _ in steps if j < literals], len(ys)
+    )
+    constants = [right[sg.generating_set[j - literals]] for j, _ in steps if j >= literals]
     # vectors grows while it is iterated: the worklist, in orbit order
     for v, vector in enumerate(vectors):
-        rows = [table[a] for a in vector]
-        for j, step in steps:
-            product = tuple(map(getitem, rows, columns[j]))
+        products = chain(map(at_flat(vector), flats), map(_gather(vector), constants))
+        for (j, step), product in zip(steps, products):
             w = index.get(product)
             if w is None:
                 w = len(vectors)

@@ -86,6 +86,16 @@ class FiniteInverseSemigroup(Value, uncompared=("generating_set", "label")):
         three checked by validate() on this table."""
         return IdempotentOrder(tuple(sorted(self.idempotents)), self.table)
 
+    @cached_property
+    def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every ordered pair of order-incomparable idempotents,
+        lexicographically, built once per semigroup."""
+        order = self.idempotent_order
+        return tuple(
+            (e, f) for e in order.elements for f in order.elements
+            if not order.leq(e, f) and not order.leq(f, e)
+        )
+
 
 def _right_products(table, gens) -> list[int]:
     """Every left-associated product (..((g1 g2) g3)..) gk of elements of
@@ -263,16 +273,13 @@ def natural_order(sg: FiniteInverseSemigroup) -> IdempotentOrder:
 
 
 def incomparable_pairs(sg: FiniteInverseSemigroup) -> tuple[tuple[int, int], ...]:
-    """Every ordered pair of order-incomparable idempotents, lexicographically."""
-    order = natural_order(sg)
-    return tuple(
-        (e, f) for e in order.elements for f in order.elements
-        if not order.leq(e, f) and not order.leq(f, e)
-    )
+    """Every ordered pair of order-incomparable idempotents, lexicographically;
+    found once per semigroup."""
+    return sg.incomparable_pairs
 
 
 def is_chain(sg: FiniteInverseSemigroup) -> bool:
-    return not incomparable_pairs(sg)
+    return not sg.incomparable_pairs
 
 
 def wagner_preston(sg: FiniteInverseSemigroup) -> tuple[PartialInjection, ...]:

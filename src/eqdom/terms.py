@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import islice, product as _cartesian, repeat
-from operator import getitem, itemgetter
+from itertools import chain, islice, product as _cartesian, repeat
+from operator import add, getitem, itemgetter
 
 from ._value import Value
 
@@ -357,6 +357,28 @@ class CloneResult(Value):
         return frozenset(self.functions)
 
 
+def _gather(indices: tuple[int, ...]) -> itemgetter:
+    """itemgetter over indices that returns a tuple for any count: a bare
+    itemgetter returns the value itself for one index and fails for none."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
+
+
+def _right_gathers(semigroup, literals, length: int):
+    """Right multiplication as one C-level gather per product, for vectors
+    of the length.  Returns (right, flats, at_flat): right[c][a] = a c, so
+    _gather(v)(right[c]) is v c for a constant c; flats[k][i |S| + a] =
+    a literals[k][i], so at_flat(v)(flats[k]) is v literals[k].  Constants
+    share right: |S|^2 entries, and |S| per entry of each literal."""
+    order = semigroup.order
+    right = list(zip(*semigroup.table))
+    flats = [tuple(chain.from_iterable(map(right.__getitem__, g))) for g in literals]
+    offsets = range(0, order * length, order)
+    return right, flats, lambda v: _gather(tuple(map(add, offsets, v)))
+
+
 def term_values(semigroup, coords):
     """Each distinct tuple of term-function values on coords (a nonempty list
     of points of one arity), in orbit order: first the generator columns
@@ -378,14 +400,15 @@ def term_values(semigroup, coords):
         generators += [tuple(p[i] for p in coords), tuple(inv[p[i]] for p in coords)]
     generators = list(dict.fromkeys(generators))  # keeps the |S| constants first
     yield from generators
+    right, flats, at_flat = _right_gathers(semigroup, generators[order:], len(coords))
     values, seen = list(generators), set(generators)
     by_constant = [True] * order + [False] * (len(generators) - order)
     # values and by_constant grow while they are iterated: the worklist
     for v, flagged in zip(values, by_constant):
-        rows = [semigroup.table[a] for a in v]
-        start = order if flagged else 0
-        for j, g in enumerate(generators[start:], start):
-            product = tuple(map(getitem, rows, g))
+        products = map(at_flat(v), flats)
+        if not flagged:
+            products = chain(map(_gather(v), right), products)
+        for j, product in enumerate(products, order if flagged else 0):
             if product not in seen:
                 seen.add(product)
                 values.append(product)

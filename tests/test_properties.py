@@ -13,12 +13,15 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import direct_product, random_term
+from helpers import direct_product, plain_orbit, random_term
 from eqdom.catalog import by_name
 from eqdom.geometry import (
     Equation,
     EquationSystem,
+    PointSet,
+    closure,
     ed_verdict,
+    in_subpower_closure,
     solution_set,
     validate_verdict,
 )
@@ -141,3 +144,33 @@ def test_solution_set_is_the_per_point_filter(sg, arity, count, seed):
         if all(_evaluate_ast(sg, l, p) == _evaluate_ast(sg, r, p) for l, r in sides)
     }
     assert solution_set(sg, system).members == expected
+
+
+@SETTINGS
+@given(inverse_semigroups(), st.integers(1, 2), st.integers(0, 2**32))
+def test_both_orbits_agree_with_a_plain_orbit(sg, arity, seed):
+    # closure() and in_subpower_closure gather their products through one
+    # helper; the reference orbit takes each product entry by entry, so a
+    # fault in the shared gather shows against it, in the answers or in the
+    # vector counts where each cap falls.  Y runs through 0..3 seeded
+    # points, the empty and one-point sets included
+    if sg.order ** arity > 400:  # closure() passes B once per point of S^arity
+        arity = 1
+    rng = random.Random(seed)
+    pts = list(all_points(sg.order, arity))
+    sample, p = rng.sample(pts, min(3, len(pts))), rng.choice(pts)
+    for size in range(len(sample) + 1):
+        ys = sorted(sample[:size])
+        y = PointSet(arity, frozenset(ys))
+        orbit = plain_orbit(sg, ys + [p], arity)
+        b = len({v[:-1] for v in orbit})  # |B|: the orbit on Y, projected
+        member = b == len(orbit)
+        report = closure(sg, y, max_cells=b * size)
+        assert report.exact and (p in report.points.members) == member, (ys, p)
+        assert in_subpower_closure(sg, y.members, p) == member, (ys, p)
+        if size:
+            assert not closure(sg, y, max_cells=b * size - 1).exact
+        if size and member:
+            cells = len(orbit) * size
+            assert in_subpower_closure(sg, y.members, p, max_cells=cells) is True
+            assert in_subpower_closure(sg, y.members, p, max_cells=cells - 1) is None

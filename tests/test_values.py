@@ -146,6 +146,12 @@ def test_cached_properties_stay_out_of_eq_hash_and_repr():
     assert sg.idempotent_order is order  # built once
     assert (hash(sg), repr(sg)) == before and sg == twin
     assert repr(order) == "IdempotentOrder(elements=(0, 1, 2))"
+    brandt = BRANDT.replace()
+    assert "incomparable_pairs" not in brandt.__dict__
+    pairs = brandt.incomparable_pairs
+    assert brandt.incomparable_pairs is pairs and pairs == ((0, 3), (3, 0))
+    assert brandt == BRANDT and hash(brandt) == hash(BRANDT)
+    assert repr(brandt) == repr(BRANDT) and "incomparable" not in repr(brandt)
     assert "table" not in repr(order)
     clone = clone_closure(sg, 1)
     before = (hash(clone), repr(clone))
