@@ -8,8 +8,8 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from operator import eq as equal, itemgetter
+from itertools import chain, combinations, compress
+from operator import eq as equal, itemgetter, or_
 from typing import Callable
 
 from ._value import Value
@@ -118,11 +118,17 @@ def solution_set(sg: FiniteInverseSemigroup, system: EquationSystem) -> PointSet
     """
     _check_bound("solution set", sg.order, system.arity)
     points = list(all_points(sg.order, system.arity))
-    # each equation narrows the points left, its sides evaluated at all of them
+    # each equation narrows the points left
     for eq in system.equations:
-        lhs, rhs = (_values_at(sg, flatten(sg, t), points) for t in (eq.lhs, eq.rhs))
-        points = list(compress(points, map(equal, lhs, rhs)))
+        points = list(compress(points, _holds(sg, eq, points)))
     return PointSet(system.arity, frozenset(points))
+
+
+def _holds(sg: FiniteInverseSemigroup, eq: Equation, points: list):
+    """Whether eq holds at each of points, its sides evaluated at all of
+    them."""
+    lhs, rhs = (_values_at(sg, flatten(sg, t), points) for t in (eq.lhs, eq.rhs))
+    return map(equal, lhs, rhs)
 
 
 class ClosureReport(Value):
@@ -185,7 +191,7 @@ def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
     return roots, parents, [(j, itemgetter(*step)) for j, step in steps]
 
 
-def _extends_to(sg: FiniteInverseSemigroup, graph, q: tuple[int, ...], columns) -> bool:
+def _extends_to(sg: FiniteInverseSemigroup, graph, q: tuple[int, ...]) -> bool:
     """Does t|ys -> t(q) define a map phi on B?  phi is built in orbit order,
     each vector from its parent, and must agree at every generator and on
     every edge: phi(v g) = phi(v) g(q).  The root check runs over every
@@ -201,8 +207,9 @@ def _extends_to(sg: FiniteInverseSemigroup, graph, q: tuple[int, ...], columns) 
     table = sg.table
     for v, j in parents:  # each parent precedes its child, so phi[v] is set
         phi.append(table[phi[v]][at_q[j]])
-    times = itemgetter(*phi)  # times(columns[g]) is phi(v) g for every v
-    return all(step(phi) == times(columns[at_q[j]]) for j, step in steps)
+    right = sg._right
+    times = itemgetter(*phi)  # times(right[g]) is phi(v) g for every v
+    return all(step(phi) == times(right[at_q[j]]) for j, step in steps)
 
 
 def closure(
@@ -217,10 +224,14 @@ def closure(
     containing pts, so a point q lies in the closure exactly when t|pts ->
     t(q) is a well-defined map on B, the subalgebra of S^pts of the term
     functions' restrictions (subpower membership; Bulatov, Mayr and Steindl,
-    IJAC 2016).  B is built once; each point then costs one pass over its
-    graph.  When B would exceed max_cells cells (vectors times |pts|) every
-    point is kept and exact=False: a superset of the true closure, so only
-    "yes, algebraic" would be unsound and callers must answer unknown.
+    IJAC 2016).  B is built once; each point decided costs one pass over its
+    graph.  A permutation of coordinates that maps pts onto itself maps the
+    closure onto itself, so only the first point of each orbit of the
+    coordinate swaps fixing pts is decided (see _swap_blocks) and the rest
+    of the orbit takes its answer.  When B would exceed max_cells cells
+    (vectors times |pts|) every point is kept and exact=False: a superset of
+    the true closure, so only "yes, algebraic" would be unsound and callers
+    must answer unknown.
     """
     n = pts.arity
     _check_bound("closure", sg.order, n)
@@ -229,12 +240,50 @@ def closure(
     graph = _subpower(sg, n, sorted(pts.members), max_cells)
     if graph is None:
         return ClosureReport(PointSet(n, frozenset(points)), False)
-    # columns[g][a] = a g: right multiplication by g
-    columns = list(zip(*sg.table))
-    members = frozenset(
-        q for q in points if q in pts.members or _extends_to(sg, graph, q, columns)
-    )
-    return ClosureReport(PointSet(n, members), True)
+
+    def inside(q):
+        return q in pts.members or _extends_to(sg, graph, q)
+
+    blocks = _swap_blocks(pts)
+    if not blocks:  # no swap fixes pts, as at arity 1: every point decided
+        return ClosureReport(PointSet(n, frozenset(filter(inside, points))), True)
+    # q and its coordinates sorted within each block share one answer; the
+    # sorted form is the least point of q's orbit, so all_points reaches it,
+    # and decides it, first
+    gathers = [_gather(block) for block in blocks]
+    answers: dict[tuple[int, ...], bool] = {}
+    members = []
+    for q in points:
+        key = tuple(chain.from_iterable(sorted(g(q)) for g in gathers))
+        answer = answers.get(key)
+        if answer is None:
+            answer = answers[key] = inside(q)
+        if answer:
+            members.append(q)
+    return ClosureReport(PointSet(n, frozenset(members)), True)
+
+
+def _swap_blocks(pts: PointSet) -> list[tuple[int, ...]]:
+    """The coordinates of pts as blocks, each ascending, joined by the swaps
+    (i j) that map pts onto itself; [] when no swap does.  Swaps generate
+    every permutation within each block, and each permutation maps pts, so
+    the closure, onto itself: for such a permutation s, a term function t
+    and t with its variables permuted by s agree on pts together.  A swap
+    inside a block already joined is not tested."""
+    n = pts.arity
+    block = list(range(n))  # block[i]: the least coordinate joined to i
+    for i, j in combinations(range(n), 2):
+        if block[i] == block[j]:
+            continue
+        swapped = list(range(n))
+        swapped[i], swapped[j] = j, i
+        # a swap is a bijection, so an image inside pts is all of pts
+        if pts.members.issuperset(map(itemgetter(*swapped), pts.members)):
+            low, high = sorted((block[i], block[j]))
+            block = [low if b == high else b for b in block]
+    if block == list(range(n)):
+        return []
+    return [tuple(i for i in range(n) if block[i] == b) for b in sorted(set(block))]
 
 
 def in_subpower_closure(
@@ -397,11 +446,15 @@ CERTIFICATE_KINDS: dict[str, CertificateKind] = {
 
 
 def _union_of(sg, kind: CertificateKind, equations) -> PointSet:
-    """The union of the two equations' solution sets; BoundExceededError,
-    naming kind.subject, when S^arity has more than MAX_POINTS points."""
-    _check_bound(kind.subject, sg.order, equations[0].arity)
-    a, b = (solution_set(sg, EquationSystem((eq,))) for eq in equations)
-    return PointSet(a.arity, a.members | b.members)
+    """The union of the two equations' solution sets: the points of
+    S^arity where either equation holds, each evaluated directly.
+    BoundExceededError, naming kind.subject, when S^arity has more than
+    MAX_POINTS points."""
+    arity = equations[0].arity
+    _check_bound(kind.subject, sg.order, arity)
+    points = list(all_points(sg.order, arity))
+    first, second = (_holds(sg, eq, points) for eq in equations)
+    return PointSet(arity, frozenset(compress(points, map(or_, first, second))))
 
 
 def _certificate(

@@ -87,6 +87,12 @@ class FiniteInverseSemigroup(Value, uncompared=("generating_set", "label")):
         return IdempotentOrder(tuple(sorted(self.idempotents)), self.table)
 
     @cached_property
+    def _right(self) -> tuple[tuple[int, ...], ...]:
+        """The table's columns, built once per semigroup: _right[c][a] = a c,
+        right multiplication by c as a tuple indexed by a."""
+        return tuple(zip(*self.table))
+
+    @cached_property
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
         """Every ordered pair of order-incomparable idempotents,
         lexicographically, built once per semigroup."""

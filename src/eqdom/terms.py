@@ -269,13 +269,16 @@ def variables_of(term) -> frozenset[int]:
 
 
 def _check_points(semigroup, points) -> None:
-    """ValueError unless the points share one arity and every coordinate is
-    an element index 0..|S|-1."""
-    arities = set()
-    for p in points:
-        arities.add(len(p))
-        if not all(0 <= c < semigroup.order for c in p):
-            raise ValueError(f"point {p} has a coordinate outside 0..{semigroup.order - 1}")
+    """ValueError unless the points (a collection, read more than once)
+    share one arity and every coordinate is an element index 0..|S|-1.
+    min and max test the range at C level; the first point out of range, in
+    iteration order, is named before a mixed arity is reported."""
+    order = semigroup.order
+    if (min(chain.from_iterable(points), default=0) < 0
+            or max(chain.from_iterable(points), default=0) >= order):
+        bad = next(p for p in points if not all(0 <= c < order for c in p))
+        raise ValueError(f"point {bad} has a coordinate outside 0..{order - 1}")
+    arities = set(map(len, points))
     if len(arities) > 1:
         raise ValueError(f"points of mixed arity: {sorted(arities)}")
 
@@ -373,7 +376,7 @@ def _right_gathers(semigroup, literals, length: int):
     a literals[k][i], so at_flat(v)(flats[k]) is v literals[k].  Constants
     share right: |S|^2 entries, and |S| per entry of each literal."""
     order = semigroup.order
-    right = list(zip(*semigroup.table))
+    right = semigroup._right
     flats = [tuple(chain.from_iterable(map(right.__getitem__, g))) for g in literals]
     offsets = range(0, order * length, order)
     return right, flats, lambda v: _gather(tuple(map(add, offsets, v)))

@@ -11,6 +11,7 @@ from eqdom.catalog import CATALOG_NAMES, by_name, symmetric_inverse_monoid
 from eqdom.geometry import (
     BoundExceededError,
     CERTIFICATE_KINDS,
+    MAX_POINTS,
     Certificate,
     CertificateError,
     Equation,
@@ -29,6 +30,7 @@ from eqdom.geometry import (
     solution_set,
     validate_certificate,
     validate_verdict,
+    _union_of,
 )
 from eqdom.terms import Const, Var, all_points, clone_closure, evaluate, flatten, parse
 
@@ -206,6 +208,73 @@ def test_closure_matches_subpower_membership_on_small_sets(name, arity, size, sa
         assert closure(sg, PointSet(arity, frozenset(y))).points.members == expected, y
 
 
+def _swapped(p, i, j):
+    q = list(p)
+    q[i], q[j] = q[j], q[i]
+    return tuple(q)
+
+
+def _rosenblatt_union(sg):
+    # the union {x1=x2} or {x3=x4} of the Rosenblatt certificate
+    return PointSet(4, frozenset(
+        p for p in all_points(sg.order, 4) if p[0] == p[1] or p[2] == p[3]
+    ))
+
+
+@pytest.mark.parametrize("name, arity", [
+    *((name, 2) for name in ("chain2", "chain3", "z3", "z2_zero", "brandt_b2", "sim2")),
+    *((name, 3) for name in ("chain2", "z2", "chain3", "z3", "z2_zero", "brandt_b2")),
+    *((name, 4) for name in ("trivial", "chain2", "z2", "chain3", "z3", "z2_zero")),
+])
+def test_closure_of_swap_fixed_sets_matches_subpower_membership(name, arity):
+    # closure() decides one point per orbit of the swaps fixing its input;
+    # here each answer is checked point by point: seeded Y u (i j)Y, at
+    # arity 3 also Y closed under (1 2) and (2 3), and at arity 4 the
+    # Rosenblatt union, fixed by (1 2) and (3 4) only
+    sg = by_name(name)
+    pts = list(all_points(sg.order, arity))
+    if arity == 4:
+        sets = [_rosenblatt_union(sg)]
+    else:
+        rng = random.Random(f"swap/{name}/{arity}")
+        sets = []
+        for size in (1, 2, 3):
+            y = rng.sample(pts, size)
+            i, j = rng.sample(range(arity), 2)
+            sets.append(PointSet(arity, frozenset(y + [_swapped(p, i, j) for p in y])))
+            if arity == 3:
+                orbit = {perm for p in y for perm in itertools.permutations(p)}
+                sets.append(PointSet(arity, frozenset(orbit)))
+    for y in sets:
+        expected = {p for p in pts if in_subpower_closure(sg, y.members, p)}
+        assert closure(sg, y).points.members == expected, sorted(y.members)
+
+
+def test_closure_of_a_set_no_swap_fixes_is_not_symmetrized():
+    # {(e,f)} in chain2^2 is algebraic (x1 = e, x2 = f); its swap (f,e) is
+    # not in its closure
+    assert closure(C2, _points(2, (0, 1))).points.members == {(0, 1)}
+
+
+def test_union_of_equals_the_union_of_the_solution_sets():
+    # every witness kind's union on the catalog, within the point bound
+    checked = 0
+    for name in CATALOG_NAMES:
+        sg = by_name(name)
+        for kind in CERTIFICATE_KINDS.values():
+            if kind.equations is None:
+                continue
+            for idem in kind.choices(sg):
+                equations = kind.equations(sg, idem)
+                if sg.order ** equations[0].arity > MAX_POINTS:
+                    continue
+                parts = [solution_set(sg, EquationSystem((eq,))) for eq in equations]
+                union = _union_of(sg, kind, equations)
+                assert union == PointSet(union.arity, parts[0].members | parts[1].members)
+                checked += 1
+    assert checked == 34
+
+
 @pytest.mark.parametrize("name, arity", [
     *((name, 1) for name in CATALOG_NAMES if name != "sim3"),
     *((name, 2) for name in ("chain2", "chain3", "z2", "z3", "z2_zero", "brandt_b2")),
@@ -214,10 +283,7 @@ def test_closure_matches_subpower_membership_on_small_sets(name, arity, size, sa
 def test_closure_matches_clone_grouping(name, arity):
     sg = by_name(name)
     if arity == 4:
-        # the union {x1=x2} or {x3=x4} of the Rosenblatt certificate
-        sets = [PointSet(4, frozenset(
-            p for p in all_points(sg.order, 4) if p[0] == p[1] or p[2] == p[3]
-        ))]
+        sets = [_rosenblatt_union(sg)]
     else:
         sets = _seeded_sets(sg, arity, "grouping")
     for y in sets:

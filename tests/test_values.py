@@ -146,6 +146,11 @@ def test_cached_properties_stay_out_of_eq_hash_and_repr():
     assert sg.idempotent_order is order  # built once
     assert (hash(sg), repr(sg)) == before and sg == twin
     assert repr(order) == "IdempotentOrder(elements=(0, 1, 2))"
+    assert "_right" not in sg.__dict__
+    right = sg._right
+    assert sg._right is right  # built once
+    assert right == tuple(tuple(row[c] for row in sg.table) for c in range(sg.order))
+    assert (hash(sg), repr(sg)) == before and sg == twin and "_right" not in twin.__dict__
     brandt = BRANDT.replace()
     assert "incomparable_pairs" not in brandt.__dict__
     pairs = brandt.incomparable_pairs
