@@ -27,7 +27,7 @@ from .terms import (
     Var,
     _check_points,
     _gather,
-    _right_gathers,
+    _multipliers,
     _values_at,
     all_points,
     evaluate,
@@ -163,21 +163,23 @@ def _subpower(sg: FiniteInverseSemigroup, arity: int, ys: list, max_cells: int):
     literals = 2 * arity
     width = literals + len(sg.generating_set)
     columns = list(zip(*(_generator_values(sg, y) for y in ys))) or [()] * width
-    index: dict[tuple[int, ...], int] = {}
-    roots = [index.setdefault(column, len(index)) for column in columns]
-    if len(index) * len(ys) > max_cells:
+    first: dict[tuple[int, ...], int] = {}  # each distinct column's root
+    roots = [first.setdefault(column, len(first)) for column in columns]
+    if len(first) * len(ys) > max_cells:
         return None
-    vectors = list(index)
     parents: list[tuple[int, int]] = []
-    steps: list[tuple[int, list[int]]] = [(roots.index(r), []) for r in range(len(index))]
+    steps: list[tuple[int, list[int]]] = [(roots.index(r), []) for r in range(len(first))]
     # steps run in generator order, the literals' first
-    right, flats, at_flat = _right_gathers(
+    encode, right, flats, times = _multipliers(
         sg, [columns[j] for j, _ in steps if j < literals], len(ys)
     )
     constants = [right[sg.generating_set[j - literals]] for j, _ in steps if j >= literals]
+    vectors = list(map(encode, first))
+    index = {vector: v for v, vector in enumerate(vectors)}
     # vectors grows while it is iterated: the worklist, in orbit order
     for v, vector in enumerate(vectors):
-        products = chain(map(at_flat(vector), flats), map(_gather(vector), constants))
+        by_constants, by_literals = times(vector, constants, flats)
+        products = chain(by_literals, by_constants)
         for (j, step), product in zip(steps, products):
             w = index.get(product)
             if w is None:

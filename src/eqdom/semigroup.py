@@ -87,6 +87,24 @@ class FiniteInverseSemigroup(Value, uncompared=("generating_set", "label")):
         return tuple(zip(*self.table))
 
     @cached_property
+    def _right_codes(self) -> tuple[bytes, ...]:
+        """Right multiplication on the byte codes of orbit vectors, built
+        once per semigroup on first use, for |S| <= 256: with
+        k = 256 // |S|, the bytes.translate table _right_codes[c] maps the
+        code j |S| + a (j < k) to j |S| + a c (see terms._multipliers).
+        Each byte of the sum stays below 256, so one integer addition adds
+        j |S| to every byte."""
+        order = self.order
+        chunk = 256 // order
+        codes = chunk * order
+        shifts = int.from_bytes(bytes(j // order * order for j in range(codes)), "big")
+        return tuple(
+            (shifts + int.from_bytes(bytes(column) * chunk, "big")).to_bytes(codes, "big")
+            + bytes(256 - codes)
+            for column in self._right
+        )
+
+    @cached_property
     def incomparable_pairs(self) -> tuple[tuple[int, int], ...]:
         """Every ordered pair of order-incomparable idempotents,
         lexicographically, built once per semigroup."""

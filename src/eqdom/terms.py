@@ -285,24 +285,35 @@ def _check_points(semigroup, points) -> None:
 
 def evaluate(semigroup, term, point) -> int:
     """Value of a Term or FlatTerm at a point (tuple of element indices);
-    ValueError when a coordinate lies outside 0..|S|-1."""
-    _check_points(semigroup, [point])
-    if isinstance(term, FlatTerm):
-        return _values_at(semigroup, term, [point])[0]
-    return _evaluate_ast(semigroup, term, point)
+    ValueError when a coordinate lies outside 0..|S|-1.  A FlatTerm is
+    folded a literal at a time, left to right."""
+    order = semigroup.order
+    for c in point:
+        if not 0 <= c < order:
+            raise ValueError(f"point {point} has a coordinate outside 0..{order - 1}")
+    if not isinstance(term, FlatTerm):
+        return _evaluate_ast(semigroup, term, point)
+    table, inv = semigroup.table, semigroup.inv
+    value = None
+    for lit in term.literals:
+        if isinstance(lit, ConstLit):
+            x = lit.element
+        elif lit.index >= len(point):
+            raise ValueError(f"term uses x{lit.index + 1} but the point has arity {len(point)}")
+        else:
+            x = point[lit.index] if lit.sign > 0 else inv[point[lit.index]]
+        value = x if value is None else table[value][x]
+    return value
 
 
 def _values_at(semigroup, term: FlatTerm, points: list) -> list[int]:
-    """The term's value at each of points (a list of points of one arity,
-    in range), computed a literal at a time over all of them."""
+    """The term's value at each of points (a list of points in range, of
+    one arity that covers the term's variables, as an Equation's does),
+    computed a literal at a time over all of them."""
     values = None
     for lit in term.literals:
         if isinstance(lit, ConstLit):
             column = repeat(lit.element, len(points))
-        elif points and lit.index >= len(points[0]):
-            raise ValueError(
-                f"term uses x{lit.index + 1} but the point has arity {len(points[0])}"
-            )
         else:
             column = map(itemgetter(lit.index), points)
             if lit.sign < 0:
@@ -369,26 +380,61 @@ def _gather(indices: tuple[int, ...]) -> itemgetter:
     return itemgetter(slice(start, start + len(indices)))
 
 
-def _right_gathers(semigroup, literals, length: int):
-    """Right multiplication as one C-level gather per product, for vectors
-    of the length.  Returns (right, flats, at_flat): right[c][a] = a c, so
-    _gather(v)(right[c]) is v c for a constant c; flats[k][i |S| + a] =
-    a literals[k][i], so at_flat(v)(flats[k]) is v literals[k].  Constants
-    share right: |S|^2 entries, and |S| per entry of each literal."""
+def _multipliers(semigroup, literals, length: int):
+    """Right multiplication of the orbit vectors of the length, one C call
+    per product.  Returns (encode, right, flats, times): encode turns a
+    column of elements into a vector, right[c] and flats[j] are the
+    operands of the constant c and of the column literals[j], and
+    times(v, constant_ops, literal_ops) is the pair of iterators of v times
+    each operand of the two lists.
+
+    While |S| <= 256 a vector is bytes whose coordinate i holds the code
+    (i mod k) |S| + a of its element a, k = 256 // |S|; v c is
+    v.translate(right[c]) (semigroup._right_codes).  flats[j] holds the
+    code of a literals[j][i] at i |S| + a: padded to a translate table when
+    the vector fits one chunk of k coordinates, else gathered at the
+    indices v[i] + (i - i mod k) |S| and wrapped in bytes.  Above 256 a
+    vector is a tuple of elements and both products are gathers, as with
+    k = 1.  A code is a bijection on each coordinate, so no orbit order,
+    vector count or answer depends on the encoding.
+    """
     order = semigroup.order
+    chunk = max(256 // order, 1)
+    shifts = [i % chunk * order for i in range(length)]
+    offsets = [i * order - shift for i, shift in enumerate(shifts)]
     right = semigroup._right
-    flats = [tuple(chain.from_iterable(map(right.__getitem__, g))) for g in literals]
-    offsets = range(0, order * length, order)
-    return right, flats, lambda v: _gather(tuple(map(add, offsets, v)))
+    flats = [tuple(s + x for s, c in zip(shifts, g) for x in right[c]) for g in literals]
+    if order > 256:
+        def times(v, constant_ops, literal_ops):
+            gather = _gather(tuple(map(add, offsets, v)))
+            return map(_gather(v), constant_ops), map(gather, literal_ops)
+
+        return tuple, right, flats, times
+    if length <= chunk:
+        flats = [bytes(flat) + bytes(256 - order * length) for flat in flats]
+
+        def times(v, constant_ops, literal_ops):
+            return map(v.translate, constant_ops), map(v.translate, literal_ops)
+    else:
+        def times(v, constant_ops, literal_ops):
+            gather = _gather(tuple(map(add, offsets, v)))
+            return map(v.translate, constant_ops), map(bytes, map(gather, literal_ops))
+
+    def encode(column):
+        return bytes(map(add, shifts, column))
+
+    return encode, semigroup._right_codes, flats, times
 
 
 def term_values(semigroup, coords):
-    """Each distinct tuple of term-function values on coords (a nonempty list
-    of points of one arity), in orbit order: first the generator columns
-    without repeats, the constants 0..|S|-1 then x1, x1^-1, x2, x2^-1, ...;
-    then each new right product v g, with v in the order found and g in
-    generator order.  Every flattened term is a product of these literals,
-    so right products reach every term function.
+    """Each distinct vector of term-function values on coords (a nonempty
+    list of points of one arity), in orbit order: first the generator
+    columns without repeats, the constants 0..|S|-1 then x1, x1^-1, x2,
+    x2^-1, ...; then each new right product v g, with v in the order found
+    and g in generator order.  Every flattened term is a product of these
+    literals, so right products reach every term function.  A vector is
+    encoded as _multipliers says: bytes of codes while |S| <= 256, whose
+    codes mod |S| are the values, else a tuple of the values.
 
     A vector w first reached as u c, for a constant c, is multiplied by the
     literals alone: only a vector multiplied by every generator reaches
@@ -402,15 +448,14 @@ def term_values(semigroup, coords):
     for i in range(len(coords[0])):
         generators += [tuple(p[i] for p in coords), tuple(inv[p[i]] for p in coords)]
     generators = list(dict.fromkeys(generators))  # keeps the |S| constants first
-    yield from generators
-    right, flats, at_flat = _right_gathers(semigroup, generators[order:], len(coords))
-    values, seen = list(generators), set(generators)
+    encode, right, flats, times = _multipliers(semigroup, generators[order:], len(coords))
+    values = list(map(encode, generators))
+    yield from values
+    seen = set(values)
     by_constant = [True] * order + [False] * (len(generators) - order)
     # values and by_constant grow while they are iterated: the worklist
     for v, flagged in zip(values, by_constant):
-        products = map(at_flat(v), flats)
-        if not flagged:
-            products = chain(map(_gather(v), right), products)
+        products = chain(*times(v, () if flagged else right, flats))
         for j, product in enumerate(products, order if flagged else 0):
             if product not in seen:
                 seen.add(product)
@@ -432,5 +477,6 @@ def clone_closure(semigroup, arity: int, max_cells: int = DEFAULT_MAX_CELLS) -> 
     order = semigroup.order
     limit = max_cells // order ** arity
     orbit = term_values(semigroup, list(all_points(order, arity)))
-    functions = tuple(islice(orbit, limit + 1))
+    # codes mod |S| are the values, in either encoding
+    functions = tuple(tuple(map(order.__rmod__, v)) for v in islice(orbit, limit + 1))
     return CloneResult(functions[:limit], len(functions) <= limit, order, arity)

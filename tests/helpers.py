@@ -3,12 +3,15 @@
 random_terms() is the one piece of machinery several test modules need: a
 deterministic stream of random term ASTs with a bounded number of literal
 leaves.  Everything is driven by an explicit random.Random so reruns see the
-same terms.  direct_product() builds semigroups beyond the catalog.
-plain_orbit() is a reference subpower orbit, kept apart from the library's.
+same terms.  direct_product() and cyclic_with_zero() build semigroups
+beyond the catalog, and inverse_semigroups() lists every one of a small
+order up to isomorphism.  plain_orbit() is a reference subpower orbit, kept
+apart from the library's.
 """
 
 import random
 from functools import lru_cache
+from itertools import permutations
 from operator import getitem
 
 from eqdom.catalog import by_name
@@ -63,6 +66,73 @@ def direct_product(a, b):
         for x, y in pairs
     ]
     return validate(names, table, f"{a.label}x{b.label}")
+
+
+@lru_cache(maxsize=None)
+def cyclic_with_zero(n):
+    """The cyclic group of order n with a zero adjoined: g0..g<n-1>, g0 the
+    identity and gi gj = g<i+j mod n>, then z; n + 1 elements."""
+    names = [f"g{i}" for i in range(n)] + ["z"]
+    table = [[(i + j) % n for j in range(n)] + [n] for i in range(n)]
+    return validate(names, table + [[n] * (n + 1)], f"z{n}_zero")
+
+
+@lru_cache(maxsize=None)
+def inverse_semigroups(n):
+    """One semigroup per isomorphism class of inverse semigroups of order n,
+    each the least of its relabelled tables (row by row), in order.  The
+    table is filled a cell at a time in row-major order; each new cell is
+    checked for associativity on the triples it takes part in, in its four
+    roles (as x y or y z of (x y) z = x (y z), or as the last product of
+    either side), and a full table is kept when each element has exactly
+    one inverse t (s t s = s, t s t = t).  validate() rechecks each one."""
+    table = [[None] * n for _ in range(n)]
+
+    def associative(a, b, c):
+        ab, bc = table[a][b], table[b][c]
+        if ab is None or bc is None:
+            return True
+        left, right = table[ab][c], table[a][bc]
+        return left is None or right is None or left == right
+
+    def fits(x, y):
+        return all(associative(x, y, z) and associative(z, x, y) for z in range(n)) and all(
+            (ab != x or associative(a, b, y)) and (ab != y or associative(x, a, b))
+            for a in range(n) for b, ab in enumerate(table[a])
+        )
+
+    def inverse():
+        return all(
+            sum(table[table[s][t]][s] == s and table[table[t][s]][t] == t for t in range(n)) == 1
+            for s in range(n)
+        )
+
+    def least():
+        def relabel(q):  # q[i] is the element relabelled i
+            p = [q.index(a) for a in range(n)]
+            return tuple(tuple(p[table[q[i]][q[j]]] for j in range(n)) for i in range(n))
+
+        return min(map(relabel, permutations(range(n))))
+
+    classes = set()
+
+    def fill(cell):
+        if cell == n * n:
+            if inverse():
+                classes.add(least())
+            return
+        x, y = divmod(cell, n)
+        for v in range(n):
+            table[x][y] = v
+            if fits(x, y):
+                fill(cell + 1)
+        table[x][y] = None
+
+    fill(0)
+    return tuple(
+        validate([f"s{i}" for i in range(n)], rows, f"inv{n}_{k}")
+        for k, rows in enumerate(sorted(classes))
+    )
 
 
 def plain_orbit(sg, ys, arity):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import direct_product, plain_orbit
+from helpers import cyclic_with_zero, direct_product, inverse_semigroups, plain_orbit
 from eqdom.catalog import CATALOG_NAMES, by_name, symmetric_inverse_monoid
 from eqdom.geometry import (
     BoundExceededError,
@@ -32,7 +32,8 @@ from eqdom.geometry import (
     validate_verdict,
     _union_of,
 )
-from eqdom.terms import Const, Var, all_points, clone_closure, evaluate, flatten, parse
+from eqdom.semigroup import is_group
+from eqdom.terms import Const, Var, all_points, clone_closure, evaluate, flatten, parse, term_values
 
 C2 = by_name("chain2")
 BRANDT = by_name("brandt_b2")
@@ -357,6 +358,74 @@ def test_cap_falls_at_vectors_times_points(union):
     exact = closure(sg, y, max_cells=cells)
     assert exact.exact and exact.points == closure(sg, y).points
     assert not closure(sg, y, max_cells=cells - 1).exact
+
+
+def _ends(sg):
+    # Y and p among the identity and the zero at arity 1, so that each
+    # subalgebra has at most about 2 |S| vectors
+    e, z = (sg.identity,), (sg.zero,)
+    return [([], e), ([e], z), ([e], e), ([e, z], z)]
+
+
+def _z5_cube():
+    # 50, 51 and 52 points of Z5^3 on the two sides of k = 256 // 5 = 51
+    pts = list(all_points(5, 3))
+    random.Random("z5-cube").shuffle(pts)
+    return [(sorted(pts[:size]), pts[-1]) for size in (50, 51, 52)]
+
+
+@pytest.mark.parametrize("make, cases", [
+    (lambda: symmetric_inverse_monoid(4), _ends),  # 209 elements, k = 1
+    (lambda: cyclic_with_zero(255), _ends),  # 256 elements, the last byte path
+    (lambda: cyclic_with_zero(256), _ends),  # 257 elements, tuples
+    (lambda: by_name("z5"), lambda sg: _z5_cube()),
+], ids=["sim4", "256_elements", "257_elements", "z5"])
+def test_both_vector_encodings_agree_with_a_plain_orbit(make, cases):
+    # a vector is bytes while |S| <= 256 and one chunk of k = 256 // |S|
+    # coordinates holds one literal product; here Y and Y + [p] have k - 1,
+    # k and k + 1 coordinates.  Answers, vector counts and where each cap
+    # falls must be the reference orbit's
+    sg = make()
+    for ys, p in cases(sg):
+        y = PointSet(len(p), frozenset(ys))
+        orbit = plain_orbit(sg, ys + [p], len(p))
+        vectors = list(term_values(sg, ys + [p]))
+        assert isinstance(vectors[0], bytes if sg.order <= 256 else tuple)
+        assert len(vectors) == len(orbit)
+        b = len({v[:-1] for v in orbit})  # |B|: the orbit on Y, projected
+        member = b == len(orbit)
+        assert in_subpower_closure(sg, y.members, p) == member, (ys, p)
+        report = closure(sg, y, max_cells=max(b * len(ys), 1))
+        assert report.exact and (p in report.points.members) == member, (ys, p)
+        if ys:
+            assert not closure(sg, y, max_cells=b * len(ys) - 1).exact
+        if ys and member:
+            cells = len(orbit) * len(ys)
+            assert in_subpower_closure(sg, y.members, p, max_cells=cells) is True
+            assert in_subpower_closure(sg, y.members, p, max_cells=cells - 1) is None
+
+
+def test_every_inverse_semigroup_of_order_at_most_4():
+    # OEIS A001428 counts 1, 2, 5 and 16 classes; the 19 non-groups are
+    # each NotED with a computed witness certificate, and the Rosenblatt
+    # union is exact on every class, algebraic only on the trivial group
+    classes = [inverse_semigroups(n) for n in range(1, 5)]
+    assert list(map(len, classes)) == [1, 2, 5, 16]
+    non_groups = 0
+    for sg in itertools.chain.from_iterable(classes):
+        verdict = ed_verdict(sg)
+        validate_verdict(sg, verdict)
+        assert not verdict.truncated, sg.label
+        if not is_group(sg):
+            non_groups += 1
+            assert verdict.status == "NotED", sg.label
+            assert any(c.witness is not None for c in verdict.certificates), sg.label
+        cert = rosenblatt_check(sg)
+        assert isinstance(cert, Certificate) or (cert is None and sg.order == 1), sg.label
+        if cert is not None:
+            assert cert.exact
+            validate_certificate(sg, cert)
+    assert non_groups == 19
 
 
 def test_lemma4_none_on_chains():

@@ -147,10 +147,21 @@ def test_evaluate_flat_matches_ast():
 
 
 def test_evaluate_checks_arity():
-    with pytest.raises(ValueError, match="x2"):
+    message = "term uses x2 but the point has arity 1"
+    with pytest.raises(ValueError, match="x2") as ast:
         evaluate(C2, parse("x1 x2", 2, C2), (0,))
-    with pytest.raises(ValueError, match="x2"):
+    with pytest.raises(ValueError, match="x2") as flat:
         evaluate(C2, flatten(C2, parse("x1 x2", 2, C2)), (0,))
+    assert str(ast.value) == str(flat.value) == message
+
+
+def test_evaluate_checks_the_range_first():
+    # the range is checked before the arity, on a Term and a FlatTerm alike
+    for term in (parse("x1 x2", 2, C2), flatten(C2, parse("x1 x2", 2, C2))):
+        for point in ((2,), (0, -1)):
+            with pytest.raises(ValueError) as exc:
+                evaluate(C2, term, point)
+            assert str(exc.value) == f"point {point} has a coordinate outside 0..1"
 
 
 def test_term_text_rendering():

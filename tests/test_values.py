@@ -151,6 +151,16 @@ def test_cached_properties_stay_out_of_eq_hash_and_repr():
     assert sg._right is right  # built once
     assert right == tuple(tuple(row[c] for row in sg.table) for c in range(sg.order))
     assert (hash(sg), repr(sg)) == before and sg == twin and "_right" not in twin.__dict__
+    # k = 256 // 3 = 85 chunks of 3 codes: j 3 + a maps to j 3 + a c
+    assert "_right_codes" not in sg.__dict__
+    codes = sg._right_codes
+    assert sg._right_codes is codes  # built once
+    assert codes == tuple(
+        bytes(j * 3 + right[c][a] for j in range(85) for a in range(3)) + bytes(1)
+        for c in range(3)
+    )
+    assert (hash(sg), repr(sg)) == before and sg == twin
+    assert "_right_codes" not in twin.__dict__ and "codes" not in repr(sg)
     brandt = BRANDT.replace()
     assert "incomparable_pairs" not in brandt.__dict__
     pairs = brandt.incomparable_pairs
