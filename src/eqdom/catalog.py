@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from string import ascii_lowercase
 
-from . import partialmap
 from .semigroup import FiniteInverseSemigroup, validate
 
 # chain names start at 'e' so the 2-chain reads {e, f} with e on top
@@ -57,21 +57,24 @@ def brandt_b2() -> FiniteInverseSemigroup:
 def symmetric_inverse_monoid(n: int) -> FiniteInverseSemigroup:
     """All partial injections on an n-point set under right-action composition.
 
-    Element names concatenate the image labels in ground order with '_' for
-    undefined slots, e.g. on two points '12' is the identity and '__' the
-    empty map.
+    Each map is its image tuple: entry i is the image of point i, or None
+    where undefined, and no point is an image twice.  The tuples come in
+    itertools.product order, None after every point in each slot, so the
+    identity comes first and the empty map last.  The composite of f then g
+    sends i to g[f[i]].  Element names concatenate the image labels in
+    ground order with '_' for undefined slots, e.g. on two points '12' is
+    the identity and '__' the empty map.
     """
     if not 1 <= n <= 4:
         raise ValueError("ground set size must be between 1 and 4")
-    ground = partialmap.GroundSet(tuple(str(i + 1) for i in range(n)))
-    maps = list(partialmap.all_partial_injections(ground))
+    maps = [
+        images for images in product((*range(n), None), repeat=n)
+        if len(images) - images.count(None) == len(set(images) - {None})
+    ]
     index = {m: k for k, m in enumerate(maps)}
-    names = tuple(
-        "".join("_" if j is None else ground.labels[j] for j in m.images)
-        for m in maps
-    )
+    names = tuple("".join("_" if j is None else str(j + 1) for j in m) for m in maps)
     table = [
-        [index[partialmap.compose(f, g)] for g in maps]
+        [index[tuple(None if j is None else g[j] for j in f)] for g in maps]
         for f in maps
     ]
     return validate(names, table)

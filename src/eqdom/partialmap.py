@@ -8,9 +8,6 @@ embeds any finite inverse semigroup into it.
 
 from __future__ import annotations
 
-from itertools import product as _cartesian
-from typing import Iterator
-
 from ._value import Value
 
 
@@ -80,24 +77,6 @@ def inverse(f: PartialInjection) -> PartialInjection:
 
 def domain_of(f: PartialInjection) -> frozenset[int]:
     return frozenset(i for i, j in enumerate(f.images) if j is not None)
-
-
-def all_partial_injections(ground: GroundSet) -> Iterator[PartialInjection]:
-    """Every partial injection on the ground set, in a fixed deterministic order.
-
-    Image slots with a defined value sort before undefined ones, so the full
-    identity comes first and the empty map last.
-    """
-    n = ground.size
-    candidates = []
-    for images in _cartesian((*range(n), None), repeat=n):
-        defined = [j for j in images if j is not None]
-        if len(defined) != len(set(defined)):
-            continue
-        candidates.append(images)
-    candidates.sort(key=lambda images: tuple(n if j is None else j for j in images))
-    for images in candidates:
-        yield PartialInjection(ground, images)
 
 
 def render(f: PartialInjection) -> str:

@@ -5,8 +5,8 @@ deterministic stream of random term ASTs with a bounded number of literal
 leaves.  Everything is driven by an explicit random.Random so reruns see the
 same terms.  direct_product() and cyclic_with_zero() build semigroups
 beyond the catalog, and inverse_semigroups() lists every one of a small
-order up to isomorphism.  plain_orbit() is a reference subpower orbit, kept
-apart from the library's.
+order up to isomorphism, each its own least_relabelling().  plain_orbit()
+is a reference subpower orbit, kept apart from the library's.
 """
 
 import random
@@ -107,19 +107,12 @@ def inverse_semigroups(n):
             for s in range(n)
         )
 
-    def least():
-        def relabel(q):  # q[i] is the element relabelled i
-            p = [q.index(a) for a in range(n)]
-            return tuple(tuple(p[table[q[i]][q[j]]] for j in range(n)) for i in range(n))
-
-        return min(map(relabel, permutations(range(n))))
-
     classes = set()
 
     def fill(cell):
         if cell == n * n:
             if inverse():
-                classes.add(least())
+                classes.add(least_relabelling(table))
             return
         x, y = divmod(cell, n)
         for v in range(n):
@@ -133,6 +126,18 @@ def inverse_semigroups(n):
         validate([f"s{i}" for i in range(n)], rows, f"inv{n}_{k}")
         for k, rows in enumerate(sorted(classes))
     )
+
+
+def least_relabelling(table):
+    """The least, row by row, of the tables that relabel the elements of a
+    Cayley table in every order, as a tuple of tuples."""
+    n = len(table)
+
+    def relabel(q):  # q[i] is the element relabelled i
+        p = [q.index(a) for a in range(n)]
+        return tuple(tuple(p[table[q[i]][q[j]]] for j in range(n)) for i in range(n))
+
+    return min(map(relabel, permutations(range(n))))
 
 
 def plain_orbit(sg, ys, arity):

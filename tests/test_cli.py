@@ -1,11 +1,14 @@
 """Command line behavior: output text, exit codes, determinism."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eqdom
 from eqdom.cli import main
@@ -459,3 +462,107 @@ def test_python_dash_m_runs_main(capsys):
         [sys.executable, "-m", "eqdom", *argv], capture_output=True, text=True, env=env
     )
     assert (result.returncode, result.stdout, result.stderr) == run(capsys, *argv)
+
+
+# hostile command lines: each subcommand or an unknown one; a catalog entry,
+# an unknown name, a table file, both or neither; --arity and --max-cells at
+# their extremes; malformed points and equations; stray tokens; all in any
+# order.  The catalog entries have at most three elements and the table
+# texts at most two: on brandt_b2 and sim2, `verify --rosenblatt` with a
+# cap of 10^12 cells runs for minutes, which is work asked for, not a fault
+_NAMES = ["e", "f", "a", "b", "0", "1", "x1", "?"]
+# the small valid values twice, so that many cases get past argparse
+_NUMBER = st.sampled_from(
+    ["1", "2", "3", "4", "1", "2", "3", "1000000", "9" * 30, "0", "-1", "1.5", "x"]
+)
+_GARBAGE = st.text(max_size=6)
+_POINT = st.one_of(
+    st.sampled_from(_NAMES),
+    st.lists(st.sampled_from(_NAMES + [""]), max_size=5).map(
+        lambda coords: "(" + ",".join(coords) + ")"
+    ),
+    st.sampled_from(["()", "(e,", "e,f)", "((e))", "( e , f )", "(e;f)"]),
+    _GARBAGE,
+)
+_EQUATION = st.one_of(
+    st.lists(
+        st.sampled_from(
+            _NAMES + ["x2", "x0", "x99999", "=", "=", "(", ")", "^", "^-1", "^99999999",
+                      "*", " ", "'"]
+        ),
+        max_size=8,
+    ).map("".join),
+    _GARBAGE,
+)
+_TABLE_TEXT = st.one_of(
+    st.lists(
+        st.sampled_from(
+            ["elements e f", "elements a b", "elements a a", "elements", "\ufeffelements e f",
+             "row e: e f", "row f: f f", "row a: a b", "row b: b a", "row a: a",
+             "row c: a b", "row e: e f g", "row:", "# comment", "", "e f"]
+        ),
+        max_size=4,
+    ).flatmap(lambda lines: st.sampled_from(["\n", "\r\n"]).map(lambda nl: nl.join(lines))),
+    st.just("elements e f\nrow e: e f\nrow f: f f\n"),
+    st.just("elements 1 a\nrow 1: 1 a\nrow a: a 1\n"),
+    st.text(max_size=20),
+    st.binary(max_size=20),
+)
+_SOURCE = st.sampled_from([
+    ("TABLE",), ("TABLE",), ("TABLE",), ("--catalog", "trivial"), ("--catalog", "chain2"),
+    ("--catalog", "z2"), ("--catalog", "z2_zero"),
+    (), ("--catalog", "nosuch"), ("--catalog", "TABLE"), ("--catalog", "chain2", "TABLE"),
+    ("MISSING",),
+])
+_ARITY = st.tuples(st.just("--arity"), _NUMBER)
+_MAX_CELLS = st.tuples(st.just("--max-cells"), _NUMBER)
+_EQ = st.tuples(st.just("--eq"), _EQUATION)
+_STRAY = st.one_of(
+    st.sampled_from([("--no-header",), ("--rosenblatt",), ("--dot", "DOT"), ("--bogus",),
+                     ("-",), ("--",), ("--arity",), ("--eq",)]),
+    _ARITY, _MAX_CELLS, _EQ, st.tuples(_POINT),
+)
+# each subcommand's own options, and now and then one that is not
+_OPTIONS = {
+    "info": st.nothing(),
+    "hasse": st.sampled_from([("--dot", "DOT"), ("--dot", "")]),
+    "embed": st.nothing(),
+    "solve": st.one_of(_ARITY, _EQ, _EQ),
+    "closure": st.one_of(_ARITY, _MAX_CELLS, st.tuples(_POINT), st.tuples(_POINT)),
+    "is-algebraic": st.one_of(_ARITY, _MAX_CELLS, st.tuples(_POINT), st.tuples(_POINT)),
+    "verify": st.one_of(_MAX_CELLS, st.just(("--rosenblatt",))),
+    "nosuch": st.nothing(),
+}
+_ARGV = st.sampled_from(sorted(_OPTIONS)).flatmap(
+    lambda command: st.tuples(
+        st.just(command),
+        _SOURCE,
+        st.lists(st.one_of(_OPTIONS[command], st.just(("--no-header",))), max_size=4),
+        st.sampled_from([0, 0, 1]).flatmap(lambda k: st.lists(_STRAY, min_size=k, max_size=k)),
+    )
+).flatmap(
+    lambda parts: st.permutations([parts[1], *parts[2], *parts[3]]).map(
+        lambda segments: [parts[0], *(a for segment in segments for a in segment)]
+    )
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_ARGV, _TABLE_TEXT)
+def test_hostile_input_exits_zero_to_three(tmp_path_factory, argv, table):
+    # every failure is an exit status, never a traceback: argparse's usage
+    # errors exit 2 through SystemExit, everything else returns 0-3
+    folder = tmp_path_factory.mktemp("fuzz")
+    table_path = folder / "table.txt"
+    if isinstance(table, bytes):
+        table_path.write_bytes(table)
+    else:
+        table_path.write_text(table, encoding="utf-8", errors="surrogatepass")
+    paths = {"TABLE": table_path, "MISSING": folder / "missing.txt", "DOT": folder / "order.dot"}
+    argv = [str(paths.get(a, a)) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv

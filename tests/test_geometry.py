@@ -2,11 +2,20 @@
 
 import hashlib
 import itertools
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from helpers import cyclic_with_zero, direct_product, inverse_semigroups, plain_orbit
+from helpers import (
+    cyclic_with_zero,
+    direct_product,
+    inverse_semigroups,
+    least_relabelling,
+    plain_orbit,
+)
 from eqdom.catalog import CATALOG_NAMES, by_name, symmetric_inverse_monoid
 from eqdom.geometry import (
     BoundExceededError,
@@ -32,7 +41,7 @@ from eqdom.geometry import (
     validate_verdict,
     _union_of,
 )
-from eqdom.semigroup import is_group
+from eqdom.semigroup import is_group, validate
 from eqdom.terms import Const, Var, all_points, clone_closure, evaluate, flatten, parse, term_values
 
 C2 = by_name("chain2")
@@ -426,6 +435,36 @@ def test_every_inverse_semigroup_of_order_at_most_4():
             assert cert.exact
             validate_certificate(sg, cert)
     assert non_groups == 19
+
+
+def test_every_inverse_semigroup_of_order_5():
+    # OEIS A001428 counts 52 classes.  inverse_semigroups(5) takes minutes,
+    # so its tables are a fixture, which CI regenerates and compares; here
+    # each is its own least relabelling, so no two are isomorphic.  Z5 is
+    # the one group; the 51 non-groups are each NotED with an exact witness
+    # certificate, and every verdict rechecks
+    fixture = Path(__file__).with_name("inverse_semigroups_5.json")
+    tables = [tuple(map(tuple, rows)) for rows in json.loads(fixture.read_text())]
+    assert len(tables) == 52
+    assert tables == sorted(set(tables))
+    names = [f"s{i}" for i in range(5)]
+    kinds = Counter()
+    for k, table in enumerate(tables):
+        assert least_relabelling(table) == table
+        sg = validate(names, table, f"inv5_{k}")
+        verdict = ed_verdict(sg)
+        validate_verdict(sg, verdict)
+        assert not verdict.truncated, sg.label
+        kinds[(verdict.status, *(c.kind for c in verdict.certificates))] += 1
+        if verdict.status == "NotED":
+            assert any(c.witness is not None and c.exact for c in verdict.certificates)
+    assert kinds == {
+        ("GroupOutOfScope", "GroupOutOfScope"): 1,
+        ("NotED", "ZeroPresent", "IncomparableWitness"): 25,
+        ("NotED", "ZeroPresent", "ChainWitness"): 10,
+        ("NotED", "IncomparableWitness"): 7,
+        ("NotED", "ChainWitness"): 9,
+    }
 
 
 def test_lemma4_none_on_chains():

@@ -1,4 +1,4 @@
-"""Partial injections: composition order, inverses, counting, rendering."""
+"""Partial injections: composition order, inverses, validation, rendering."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from eqdom.partialmap import (
     GroundMismatchError,
     GroundSet,
     PartialInjection,
-    all_partial_injections,
     compose,
     domain_of,
     inverse,
@@ -15,7 +14,11 @@ from eqdom.partialmap import (
 
 G2 = GroundSet(("1", "2"))
 G3 = GroundSet(("1", "2", "3"))
-ALL2 = tuple(all_partial_injections(G2))
+# the seven partial injections on two points
+ALL2 = tuple(
+    PartialInjection(G2, images)
+    for images in ((0, 1), (0, None), (1, 0), (1, None), (None, 0), (None, 1), (None, None))
+)
 EMPTY2 = PartialInjection(G2, (None, None))
 IDENTITY2 = PartialInjection(G2, (0, 1))
 SWAP2 = PartialInjection(G2, (1, 0))
@@ -56,17 +59,6 @@ def test_inverse_laws_and_uniqueness():
             if compose(compose(f, t), f) == f and compose(compose(t, f), t) == t
         ]
         assert others == [g]
-
-
-def test_counts_on_two_and_three_points():
-    assert len(ALL2) == 7
-    assert len(list(all_partial_injections(G3))) == 34
-
-
-def test_enumeration_order_is_stable():
-    assert ALL2[0] == IDENTITY2
-    assert ALL2[-1] == EMPTY2
-    assert tuple(all_partial_injections(G2)) == ALL2
 
 
 def test_injectivity_is_enforced():

@@ -12,7 +12,7 @@ from eqdom.catalog import (
     group_with_zero,
     symmetric_inverse_monoid,
 )
-from eqdom.partialmap import compose, inverse as pinv
+from eqdom.partialmap import GroundSet, PartialInjection, compose, inverse as pinv
 from eqdom.semigroup import (
     NonAssociativeError,
     NotInverseError,
@@ -53,6 +53,32 @@ def test_validate_accepts_whole_catalog():
     ):
         with pytest.raises(ValueError, match="between 1 and"):
             factory(size)
+
+
+def test_symmetric_inverse_monoid_matches_the_object_construction():
+    # the reference: every PartialInjection on n points, defined images
+    # sorted before undefined ones, multiplied with partialmap.compose
+    for n, order in ((1, 2), (2, 7), (3, 34), (4, 209)):
+        ground = GroundSet(tuple(str(i + 1) for i in range(n)))
+        maps = []
+        for images in itertools.product((*range(n), None), repeat=n):
+            try:
+                maps.append(PartialInjection(ground, images))
+            except ValueError:  # not injective
+                pass
+        maps.sort(key=lambda f: [n if j is None else j for j in f.images])
+        index = {f: k for k, f in enumerate(maps)}
+        names = tuple(
+            "".join("_" if j is None else ground.labels[j] for j in f.images)
+            for f in maps
+        )
+        table = tuple(tuple(index[compose(f, g)] for g in maps) for f in maps)
+        sg = symmetric_inverse_monoid(n)
+        assert sg.order == len(maps) == order
+        assert sg.names == names
+        assert sg.table == table
+        assert sg.names[0] == "".join(ground.labels)  # the identity
+        assert sg.names[-1] == "_" * n  # the empty map
 
 
 def test_subtraction_mod_3_is_not_associative():
