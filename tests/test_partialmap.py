@@ -1,7 +1,10 @@
-"""Partial injections: composition order, inverses, validation, rendering."""
+"""Partial injections: composition order, inverses, counting, rendering."""
+
+import itertools
 
 import pytest
 
+from eqdom.catalog import symmetric_inverse_monoid
 from eqdom.partialmap import (
     GroundMismatchError,
     GroundSet,
@@ -59,6 +62,36 @@ def test_inverse_laws_and_uniqueness():
             if compose(compose(f, t), f) == f and compose(compose(t, f), t) == t
         ]
         assert others == [g]
+
+
+def _injective_images(ground):
+    """The image tuples on ground that PartialInjection accepts."""
+    n = len(ground.labels)
+    found = []
+    for images in itertools.product((*range(n), None), repeat=n):
+        try:
+            found.append(PartialInjection(ground, images).images)
+        except ValueError:  # not injective
+            pass
+    return found
+
+
+def test_counts_on_two_and_three_points():
+    assert len(ALL2) == len(set(ALL2)) == 7
+    assert {f.images for f in ALL2} == set(_injective_images(G2))
+    assert len(_injective_images(G3)) == 34
+    # the catalog's symmetric inverse monoids have exactly these elements
+    assert symmetric_inverse_monoid(2).order == 7
+    assert symmetric_inverse_monoid(3).order == 34
+
+
+def test_enumeration_order_is_stable():
+    assert ALL2[0] == IDENTITY2
+    assert ALL2[-1] == EMPTY2
+    # the catalog lists I_2 in the same order, identity first, empty map last
+    assert symmetric_inverse_monoid(2).names == tuple(
+        "".join("_" if j is None else G2.labels[j] for j in f.images) for f in ALL2
+    )
 
 
 def test_injectivity_is_enforced():
