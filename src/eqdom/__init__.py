@@ -25,7 +25,6 @@ from .geometry import (
     validate_certificate,
     validate_verdict,
 )
-from .partialmap import GroundSet, PartialInjection
 from .semigroup import (
     FiniteInverseSemigroup,
     SemigroupError,

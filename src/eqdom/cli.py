@@ -209,7 +209,7 @@ def cmd_embed(args, sg, out) -> int:
     thetas = wagner_preston(sg)
     for s, theta in enumerate(thetas):
         dom = " ".join(sg.names[i] for i in sorted(domain_of(theta)))
-        print(f"{sg.names[s]}: {{{dom}}} -> {render(theta)}", file=out)
+        print(f"{sg.names[s]}: {{{dom}}} -> {render(theta, sg.names)}", file=out)
     return 0
 
 

@@ -5,8 +5,8 @@ element is the left factor.  validate() is the only constructor.  It checks
 the definition (an associative table in which each element has exactly one
 inverse); the laws used downstream are theorems of it (Howie, Fundamentals
 of Semigroup Theory, Thm 5.1.1; Clifford and Preston I, Thm 1.17), so the
-idempotent order and the Wagner-Preston maps are built unchecked.  The
-tests carry these laws.
+idempotent order and the Wagner-Preston maps (plain image tuples, as in
+partialmap) are built unchecked.  The tests carry these laws.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 from functools import cached_property
 
 from ._value import Value
-from .partialmap import GroundSet, PartialInjection
 from .terms import _IDENT
 
 
@@ -273,26 +272,21 @@ def is_chain(sg: FiniteInverseSemigroup) -> bool:
     return not sg.incomparable_pairs
 
 
-def wagner_preston(sg: FiniteInverseSemigroup) -> tuple[PartialInjection, ...]:
+def wagner_preston(sg: FiniteInverseSemigroup) -> tuple[tuple[int | None, ...], ...]:
     """The right-regular representation by partial injections.
 
-    Element s acts on the ground set of all elements, with domain
-    {x : x (s s') = x} and action x -> x s.  The classical Wagner-Preston
-    theorem makes this an embedding (injective, multiplicative, compatible
-    with inversion) of any table validate() accepted, so the maps are built
-    once and not rechecked.
+    Element s acts on the elements of sg, with domain {x : x (s s') = x} and
+    action x -> x s; theta_s is the image tuple of partialmap, entry x the
+    index of x s or None.  The classical Wagner-Preston theorem makes this an
+    embedding (injective, multiplicative, compatible with inversion) of any
+    table validate() accepted, so the maps are built once and not rechecked.
     """
-    ground = GroundSet(sg.names)
-    n = sg.order
-    thetas = []
-    for s in range(n):
-        dom_idem = sg.table[s][sg.inv[s]]
-        images = tuple(
-            sg.table[x][s] if sg.table[x][dom_idem] == x else None
-            for x in range(n)
-        )
-        thetas.append(PartialInjection(ground, images))
-    return tuple(thetas)
+    table, points = sg.table, range(sg.order)
+    domain_idems = [table[s][sg.inv[s]] for s in points]
+    return tuple(
+        tuple(table[x][s] if table[x][e] == x else None for x in points)
+        for s, e in enumerate(domain_idems)
+    )
 
 
 def hasse_dot(sg: FiniteInverseSemigroup) -> str:

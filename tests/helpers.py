@@ -7,11 +7,14 @@ same terms.  direct_product() and cyclic_with_zero() build semigroups
 beyond the catalog, and inverse_semigroups() lists every one of a small
 order up to isomorphism, each its own least_relabelling().  plain_orbit()
 is a reference subpower orbit, kept apart from the library's.
+partial_injections() lists the image tuples on n points without the
+factory's injectivity filter, and check_wagner_preston_maps() checks the
+shape and domains of the Wagner-Preston maps.
 """
 
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from operator import getitem
 
 from eqdom.catalog import by_name
@@ -158,3 +161,29 @@ def plain_orbit(sg, ys, arity):
                 seen.add(product)
                 orbit.append(product)
     return seen
+
+
+def partial_injections(n):
+    """Every partial injection on n points as an image tuple, each once: a
+    permutation of the points with some of its images dropped."""
+    return {
+        tuple(j if k else None for j, k in zip(perm, keep))
+        for perm in permutations(range(n))
+        for keep in product((True, False), repeat=n)
+    }
+
+
+def check_wagner_preston_maps(sg, theta):
+    """Assert that theta has one map per element and that each theta_s is an
+    injective image tuple on the |S| elements, defined exactly on
+    {x : x (s s^-1) = x}."""
+    n = sg.order
+    assert len(theta) == n
+    for s, images in enumerate(theta):
+        assert len(images) == n, sg.names[s]
+        defined = [j for j in images if j is not None]
+        assert all(j in range(n) for j in defined), sg.names[s]
+        assert len(set(defined)) == len(defined), sg.names[s]
+        e = sg.table[s][sg.inv[s]]
+        domain = {x for x, j in enumerate(images) if j is not None}
+        assert domain == {x for x in range(n) if sg.table[x][e] == x}, sg.names[s]

@@ -13,7 +13,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import direct_product, plain_orbit, random_term
+from helpers import check_wagner_preston_maps, direct_product, plain_orbit, random_term
 from eqdom.catalog import by_name
 from eqdom.geometry import (
     Equation,
@@ -25,7 +25,7 @@ from eqdom.geometry import (
     solution_set,
     validate_verdict,
 )
-from eqdom.partialmap import GroundSet, PartialInjection, compose, inverse
+from eqdom.partialmap import compose, inverse
 from eqdom.semigroup import validate, wagner_preston
 from eqdom.terms import _evaluate_ast, all_points
 
@@ -52,18 +52,15 @@ def _closed(gens):
 @st.composite
 def inverse_semigroups(draw):
     n = draw(st.integers(1, 3))
-    ground = GroundSet(tuple(str(i + 1) for i in range(n)))
     injection = st.builds(
-        lambda perm, keep: PartialInjection(
-            ground, tuple(j if k else None for j, k in zip(perm, keep))
-        ),
+        lambda perm, keep: tuple(j if k else None for j, k in zip(perm, keep)),
         st.permutations(range(n)),
         st.lists(st.booleans(), min_size=n, max_size=n),
     )
     maps = _closed(draw(st.lists(injection, min_size=1, max_size=3)))
     index = {m: k for k, m in enumerate(maps)}
     sg = validate(
-        ["".join("_" if j is None else str(j + 1) for j in m.images) for m in maps],
+        ["".join("_" if j is None else str(j + 1) for j in m) for m in maps],
         [[index[compose(a, b)] for b in maps] for a in maps],
         "random",
     )
@@ -119,6 +116,7 @@ def test_verdict_does_not_depend_on_the_labels(data):
 @given(inverse_semigroups())
 def test_wagner_preston_is_faithful(sg):
     theta = wagner_preston(sg)
+    check_wagner_preston_maps(sg, theta)
     assert len(set(theta)) == sg.order
     for s in range(sg.order):
         assert inverse(theta[s]) == theta[sg.inv[s]]

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from helpers import check_wagner_preston_maps, partial_injections
 from eqdom.catalog import (
     CATALOG_NAMES,
     by_name,
@@ -12,7 +13,7 @@ from eqdom.catalog import (
     group_with_zero,
     symmetric_inverse_monoid,
 )
-from eqdom.partialmap import GroundSet, PartialInjection, compose, inverse as pinv
+from eqdom.partialmap import compose, inverse as pinv
 from eqdom.semigroup import (
     NonAssociativeError,
     NotInverseError,
@@ -56,28 +57,21 @@ def test_validate_accepts_whole_catalog():
 
 
 def test_symmetric_inverse_monoid_matches_the_object_construction():
-    # the reference: every PartialInjection on n points, defined images
-    # sorted before undefined ones, multiplied with partialmap.compose
+    # the reference: every partial injection on n points, a permutation with
+    # some images dropped, defined images sorted before undefined ones,
+    # multiplied with partialmap.compose
     for n, order in ((1, 2), (2, 7), (3, 34), (4, 209)):
-        ground = GroundSet(tuple(str(i + 1) for i in range(n)))
-        maps = []
-        for images in itertools.product((*range(n), None), repeat=n):
-            try:
-                maps.append(PartialInjection(ground, images))
-            except ValueError:  # not injective
-                pass
-        maps.sort(key=lambda f: [n if j is None else j for j in f.images])
-        index = {f: k for k, f in enumerate(maps)}
-        names = tuple(
-            "".join("_" if j is None else ground.labels[j] for j in f.images)
-            for f in maps
+        maps = sorted(
+            partial_injections(n), key=lambda f: [n if j is None else j for j in f]
         )
+        index = {f: k for k, f in enumerate(maps)}
+        names = tuple("".join("_" if j is None else str(j + 1) for j in f) for f in maps)
         table = tuple(tuple(index[compose(f, g)] for g in maps) for f in maps)
         sg = symmetric_inverse_monoid(n)
         assert sg.order == len(maps) == order
         assert sg.names == names
         assert sg.table == table
-        assert sg.names[0] == "".join(ground.labels)  # the identity
+        assert sg.names[0] == "".join(str(i + 1) for i in range(n))  # the identity
         assert sg.names[-1] == "_" * n  # the empty map
 
 
@@ -255,8 +249,7 @@ def test_wagner_preston_on_chain2():
     sg = by_name("chain2")
     theta = wagner_preston(sg)
     # e acts as the full identity, f as the identity restricted to {f}
-    assert theta[0].images == (0, 1)
-    assert theta[1].images == (None, 1)
+    assert theta == ((0, 1), (None, 1))
 
 
 def test_wagner_preston_is_faithful_on_sim4():
@@ -265,6 +258,7 @@ def test_wagner_preston_is_faithful_on_sim4():
     # for every generator g gives theta_u theta_t = theta_(ut) for every t
     sg = symmetric_inverse_monoid(4)
     theta = wagner_preston(sg)
+    check_wagner_preston_maps(sg, theta)
     assert len(set(theta)) == sg.order == 209
     for u in range(sg.order):
         assert pinv(theta[u]) == theta[sg.inv[u]]
