@@ -8,7 +8,7 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, islice, product as _cartesian
 from operator import eq as equal, itemgetter, or_
 from typing import Callable
 
@@ -299,19 +299,43 @@ def in_subpower_closure(
     max_cells cells (vectors times |ys|); ValueError when ys and p do not
     share one arity or a coordinate lies outside 0..|S|-1.
 
-    A check of one point kept apart from closure(): p is in the closure iff
-    the term functions' values on ys + [p], the orbit of term_values, project
-    injectively onto the ys coordinates (Bulatov, Mayr and Steindl, IJAC
-    2016).  The first collision answers False.
+    A check of one point kept apart from closure(): the term_values orbit
+    over ys + [p] with p the one candidate.  The first product that agrees
+    with a kept vector on ys but not at p answers False.
     """
     _check_points(sg, [*ys, p])
-    at_p: dict[tuple[int, ...], int] = {}  # each vector's value at p, by its ys part
-    for k, v in enumerate(term_values(sg, sorted(ys) + [p]), 1):
-        if at_p.setdefault(v[:-1], v[-1]) != v[-1]:
-            return False
-        if k * len(ys) > max_cells:
-            return None
-    return True
+    members = _closure_members(sg, sorted(ys), [p], max_cells)
+    return None if members is None else bool(members)
+
+
+def _closure_members(sg: FiniteInverseSemigroup, ys: list, candidates: list, max_cells: int):
+    """The candidates that lie in the closure of ys, in their order, by one
+    term_values orbit over ys + candidates; None when B, the vectors kept
+    (one per ys part), would exceed max_cells cells (vectors times |ys|),
+    the place where closure() gives up too.  The orbit stops early once
+    every candidate is out, so it may answer where closure() would not."""
+    excluded = [False] * len(candidates)
+    limit = max_cells // len(ys) if ys else 1  # with no ys, B is one empty vector
+    orbit = term_values(sg, ys + candidates, excluded)
+    if len(list(islice(orbit, limit + 1))) > limit:
+        return None
+    return [q for q, out in zip(candidates, excluded) if not out]
+
+
+def _recheck_closure(sg: FiniteInverseSemigroup, pts: PointSet, max_cells: int):
+    """The closure of pts by _closure_members, apart from closure(); None
+    past the cap.  The candidates are the points outside pts that satisfy
+    x_k x_k = x_k at every coordinate k where every point of pts is
+    idempotent: that equation holds on pts, so on its closure."""
+    table, members = sg.table, pts.members
+    idempotents = [a for a in range(sg.order) if table[a][a] == a]
+    ranges = [
+        idempotents if all(table[p[k]][p[k]] == p[k] for p in members) else range(sg.order)
+        for k in range(pts.arity)
+    ]
+    candidates = [q for q in _cartesian(*ranges) if q not in members]
+    kept = _closure_members(sg, sorted(members), candidates, max_cells)
+    return None if kept is None else members.union(kept)
 
 
 class AlgebraicVerdict(Value):
@@ -571,9 +595,11 @@ def validate_certificate(
     Every kind rechecks, through its choices, that it may name the recorded
     idempotents; a cited kind must record nothing more.  A witness kind
     recomputes the union and re-verifies the witness rule; the witness must
-    fail both equations (evaluated directly) and pass in_subpower_closure,
-    a one-point check apart from closure(), which only confirms the closure
-    size.
+    fail both equations (evaluated directly).  One term_values orbit over
+    the union and the candidate points (_recheck_closure) then decides the
+    whole closure: the witness must lie in it and its size must match.
+    Neither closure() nor its subalgebra builder runs, so the recorded size
+    and the rechecked one come from different code over different points.
     """
     kind = CERTIFICATE_KINDS.get(cert.kind)
     if kind is None:
@@ -599,13 +625,12 @@ def validate_certificate(
         raise CertificateError("witness is not a point of the union's arity")
     if any(evaluate(sg, eq.lhs, w) == evaluate(sg, eq.rhs, w) for eq in equations):
         raise CertificateError("witness lies inside the union")
-    member = in_subpower_closure(sg, expected_union.members, w, max_cells=max_cells)
-    report = closure(sg, expected_union, max_cells=max_cells)
-    if member is None or not report.exact:
+    closed = _recheck_closure(sg, expected_union, max_cells)
+    if closed is None:
         raise CertificateError("closure no longer exact under the given bounds")
-    if not member:
+    if w not in closed:
         raise CertificateError("witness is not in the closure of the union")
-    if cert.closure_size != len(report.points.members):
+    if cert.closure_size != len(closed):
         raise CertificateError("recorded closure size does not match")
     if cert.exact is not True:
         raise CertificateError("witness certificates must record exact=true")

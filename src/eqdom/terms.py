@@ -426,21 +426,34 @@ def _multipliers(semigroup, literals, length: int):
     return encode, semigroup._right_codes, flats, times
 
 
-def term_values(semigroup, coords):
-    """Each distinct vector of term-function values on coords (a nonempty
-    list of points of one arity), in orbit order: first the generator
+def term_values(semigroup, coords, excluded=()):
+    """Term-function values on coords (a nonempty list of points of one
+    arity), keyed on Y, all coordinates but the last len(excluded): each
+    vector whose Y part is new, in orbit order.  First come the generator
     columns without repeats, the constants 0..|S|-1 then x1, x1^-1, x2,
-    x2^-1, ...; then each new right product v g, with v in the order found
-    and g in generator order.  Every flattened term is a product of these
+    x2^-1, ...; then each right product v g, with v in the order kept and g
+    in generator order.  Every flattened term is a product of these
     literals, so right products reach every term function.  A vector is
     encoded as _multipliers says: bytes of codes while |S| <= 256, whose
-    codes mod |S| are the values, else a tuple of the values.
+    codes mod |S| are the values, else a tuple of the values.  With no
+    candidates every distinct vector is kept, the values on Y = coords.
 
-    A vector w first reached as u c, for a constant c, is multiplied by the
+    The last len(excluded) coordinates are candidate points, and excluded
+    (a list of flags, one per candidate, all unset) is set where they fall
+    out: a product whose Y part was kept before with other values at some
+    open candidates sets their flags, since two term functions agree on Y
+    and differ there.  A product found before is passed over, its
+    comparison made.  The orbit stops once every flag is set.  A candidate
+    left unset lies in the closure of Y: the kept vector of each Y part
+    then fixes its value there, t|Y -> t(q) is a map, and every product of
+    a kept vector agrees with it (Bulatov, Mayr and Steindl, IJAC 2016).
+
+    A vector w first kept as u c, for a constant c, is multiplied by the
     literals alone: only a vector multiplied by every generator reaches
-    another through a constant, so u was, and w d = u (c d) was found for
-    every constant d.  A constant root times d is again a constant root, so
-    the constant roots are flagged too.
+    another through a constant, so u was, and w d = u (c d) on every
+    coordinate, a product already found and compared.  A constant root
+    times d is again a constant root, so the constant roots are flagged
+    too.
     """
     inv = semigroup.inv
     order = semigroup.order
@@ -449,19 +462,41 @@ def term_values(semigroup, coords):
         generators += [tuple(p[i] for p in coords), tuple(inv[p[i]] for p in coords)]
     generators = list(dict.fromkeys(generators))  # keeps the |S| constants first
     encode, right, flats, times = _multipliers(semigroup, generators[order:], len(coords))
-    values = list(map(encode, generators))
-    yield from values
-    seen = set(values)
-    by_constant = [True] * order + [False] * (len(generators) - order)
-    # values and by_constant grow while they are iterated: the worklist
-    for v, flagged in zip(values, by_constant):
-        products = chain(*times(v, () if flagged else right, flats))
-        for j, product in enumerate(products, order if flagged else 0):
-            if product not in seen:
-                seen.add(product)
+    y = len(coords) - len(excluded)
+    candidates = range(len(excluded))  # those still open, and their coordinates
+    at = _gather(tuple(range(y, len(coords))))
+    seen = set()  # every product, so that a repeat costs one lookup
+    kept = {}  # the first vector of each Y part
+    values, by_constant = [], []
+    # values and by_constant grow while they are iterated: the worklist,
+    # after one batch of the roots, which count as products by constants
+    # while j < |S|
+    batches = chain(
+        [(map(encode, generators), 0)],
+        ((chain(*times(v, () if flagged else right, flats)), order if flagged else 0)
+         for v, flagged in zip(values, by_constant)),
+    )
+    for products, start in batches:
+        for j, product in enumerate(products, start):
+            if product in seen:
+                continue
+            seen.add(product)
+            key = product[:y]
+            first = kept.get(key)
+            if first is None:
+                kept[key] = product
                 values.append(product)
                 by_constant.append(j < order)
                 yield product
+                continue
+            before, after = at(first), at(product)
+            if before != after:  # else they differ at excluded candidates only
+                for k, a, b in zip(candidates, before, after):
+                    excluded[k] = a != b
+                candidates = [k for k in candidates if not excluded[k]]
+                if not candidates:
+                    return
+                at = _gather(tuple(y + k for k in candidates))
 
 
 def clone_closure(semigroup, arity: int, max_cells: int = DEFAULT_MAX_CELLS) -> CloneResult:

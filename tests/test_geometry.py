@@ -39,10 +39,14 @@ from eqdom.geometry import (
     solution_set,
     validate_certificate,
     validate_verdict,
+    _recheck_closure,
     _union_of,
 )
+import eqdom.geometry as geometry
 from eqdom.semigroup import is_group, validate
-from eqdom.terms import Const, Var, all_points, clone_closure, evaluate, flatten, parse, term_values
+from eqdom.terms import (
+    DEFAULT_MAX_CELLS, Const, Var, all_points, clone_closure, evaluate, flatten, parse, term_values,
+)
 
 C2 = by_name("chain2")
 BRANDT = by_name("brandt_b2")
@@ -345,6 +349,114 @@ def test_cap_counts_vectors_times_points():
     assert not closure(sim3, y, max_cells=268 * 2 - 1).exact
     assert in_subpower_closure(sim3, y.members, witness, max_cells=268 * 2) is True
     assert in_subpower_closure(sim3, y.members, witness, max_cells=268 * 2 - 1) is None
+
+
+def test_recheck_cap_counts_vectors_times_points():
+    # revalidation keeps one vector per union part, the 268 of B above, so
+    # its cap falls where closure()'s does
+    sim3 = by_name("sim3")
+    cert = lemma4_check(sim3)
+    assert cert.union.members == {(sim3.index("12_"),), (sim3.index("1_3"),)}
+    validate_certificate(sim3, cert, max_cells=268 * 2)
+    with pytest.raises(CertificateError, match="closure no longer exact under the given bounds"):
+        validate_certificate(sim3, cert, max_cells=268 * 2 - 1)
+
+
+def _recheck_agrees(sg, y):
+    # the one-orbit recheck, closure() and the one-point check decide the
+    # same points.  At |B| |Y| cells and one short, and at a few smaller
+    # caps, the recheck gives up where closure() does, unless every
+    # candidate fell out first, which proves y closed
+    report = closure(sg, y)
+    assert report.exact
+    members = report.points.members
+    assert _recheck_closure(sg, y, DEFAULT_MAX_CELLS) == members, sorted(y.members)
+    pts = all_points(sg.order, y.arity)
+    assert {p for p in pts if in_subpower_closure(sg, y.members, p)} == members
+    if not y.members:
+        return
+    cells = len(plain_orbit(sg, sorted(y.members), y.arity)) * len(y.members)
+    for max_cells in (cells, cells - 1, cells // 2, len(y.members)):
+        capped = closure(sg, y, max_cells=max_cells)
+        rechecked = _recheck_closure(sg, y, max_cells)
+        if capped.exact:
+            assert rechecked == members, (sorted(y.members), max_cells)
+        else:
+            assert rechecked is None or rechecked == y.members == members
+
+
+@pytest.mark.parametrize("name, arity", [
+    *((name, 1) for name in CATALOG_NAMES),
+    *((name, 2) for name in ("chain2", "chain3", "z3", "z2_zero", "brandt_b2", "z5")),
+    *((name, 3) for name in ("chain2", "z2", "chain3", "z3", "z2_zero")),
+])
+def test_orbit_recheck_agrees_with_closure_and_membership(name, arity):
+    # seeded Y of 0..3 points and, past arity 1, Y u (i j)Y, fixed by a swap
+    sg = by_name(name)
+    pts = list(all_points(sg.order, arity))
+    rng = random.Random(f"recheck/{name}/{arity}")
+    for size in range(4):
+        y = rng.sample(pts, min(size, len(pts)))
+        _recheck_agrees(sg, PointSet(arity, frozenset(y)))
+        if arity > 1:
+            i, j = rng.sample(range(arity), 2)
+            _recheck_agrees(sg, PointSet(arity, frozenset(y + [_swapped(p, i, j) for p in y])))
+
+
+@pytest.mark.parametrize("name", ["z2", "z3", "z2_zero"])
+def test_orbit_recheck_agrees_on_the_rosenblatt_union(name):
+    # no coordinate of this union is idempotent throughout, so every point
+    # outside it is a candidate
+    _recheck_agrees(by_name(name), _rosenblatt_union(by_name(name)))
+
+
+def test_orbit_recheck_agrees_on_every_order_5_table():
+    # each witness union of the 52 classes, and seeded Y at arities 1 and 2
+    fixture = Path(__file__).with_name("inverse_semigroups_5.json")
+    names = [f"s{i}" for i in range(5)]
+    for k, rows in enumerate(json.loads(fixture.read_text())):
+        sg = validate(names, tuple(map(tuple, rows)), f"inv5_{k}")
+        for cert in ed_verdict(sg).certificates:
+            if cert.union is not None:
+                _recheck_agrees(sg, cert.union)
+        for arity in (1, 2):
+            for y in _seeded_sets(sg, arity, "recheck")[1:]:
+                _recheck_agrees(sg, y)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cyclic_with_zero(255), lambda: cyclic_with_zero(256),
+], ids=["256_elements", "257_elements"])
+def test_orbit_recheck_agrees_with_closure_in_both_encodings(make):
+    # the byte path's last table size and the first with tuples; {g1} has
+    # every other point as a candidate, {e} and {e, z} only z
+    sg = make()
+    e, z = (sg.identity,), (sg.zero,)
+    for ys in ([e], [e, z], [(1,)]):
+        y = PointSet(1, frozenset(ys))
+        assert _recheck_closure(sg, y, DEFAULT_MAX_CELLS) == closure(sg, y).points.members, ys
+
+
+def test_revalidation_runs_neither_closure_nor_its_builder(monkeypatch):
+    # every catalog verdict, and each Rosenblatt certificate of the catalog
+    # (brandt_b2 and sim2 stop at the cell cap, sim3 at the point bound,
+    # trivial has none), rechecks with closure() and _subpower disabled
+    checked = [(sg, ed_verdict(sg)) for sg in map(by_name, CATALOG_NAMES)]
+    rosenblatt = [(by_name(name), rosenblatt_check(by_name(name)))
+                  for name in ("chain2", "z2", "chain3", "z3", "z5", "z2_zero")]
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("revalidation reran the closure builder")
+
+    monkeypatch.setattr(geometry, "closure", disabled)
+    monkeypatch.setattr(geometry, "_subpower", disabled)
+    for sg, verdict in checked:
+        validate_verdict(sg, verdict)
+    for sg, cert in rosenblatt:
+        assert isinstance(cert, Certificate) and cert.exact, sg.label
+        validate_certificate(sg, cert)
+    with pytest.raises(AssertionError, match="reran the closure builder"):
+        ed_verdict(BRANDT)
 
 
 def _sim2_top_union():
