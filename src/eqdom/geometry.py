@@ -31,7 +31,6 @@ from .terms import (
     _values_at,
     all_points,
     evaluate,
-    flatten,
     term_values,
     variables_of,
 )
@@ -125,9 +124,9 @@ def solution_set(sg: FiniteInverseSemigroup, system: EquationSystem) -> PointSet
 
 
 def _holds(sg: FiniteInverseSemigroup, eq: Equation, points: list):
-    """Whether eq holds at each of points, its sides evaluated at all of
-    them."""
-    lhs, rhs = (_values_at(sg, flatten(sg, t), points) for t in (eq.lhs, eq.rhs))
+    """Whether eq holds at each of points, each side's Term tree walked
+    once over all of them (_values_at), with no flattening."""
+    lhs, rhs = (_values_at(sg, t, points) for t in (eq.lhs, eq.rhs))
     return map(equal, lhs, rhs)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import chain, islice, product as _cartesian, repeat
+from itertools import chain, islice, product as _cartesian
 from operator import add, getitem, itemgetter
 
 from ._value import Value
@@ -19,7 +19,7 @@ from ._value import Value
 DEFAULT_MAX_CELLS = 5_000_000
 # Most literals a parsed term may have after '^k' expansion, and deepest
 # parenthesis nesting; keeps the recursive parse, flatten, variables_of and
-# evaluate a few hundred frames under the interpreter's recursion limit.
+# both evaluators a few hundred frames under the interpreter's recursion limit.
 MAX_TERM_SIZE = 100
 
 
@@ -306,22 +306,25 @@ def evaluate(semigroup, term, point) -> int:
     return value
 
 
-def _values_at(semigroup, term: FlatTerm, points: list) -> list[int]:
+def _values_at(semigroup, term: Term, points: list) -> list[int]:
     """The term's value at each of points (a list of points in range, of
     one arity that covers the term's variables, as an Equation's does),
-    computed a literal at a time over all of them."""
-    values = None
-    for lit in term.literals:
-        if isinstance(lit, ConstLit):
-            column = repeat(lit.element, len(points))
-        else:
-            column = map(itemgetter(lit.index), points)
-            if lit.sign < 0:
-                column = map(semigroup.inv.__getitem__, column)
-        if values is not None:
-            column = map(getitem, map(semigroup.table.__getitem__, values), column)
-        values = list(column)
-    return values
+    from one walk of the Term tree over all of them; no flat term is built.
+    As in flatten, a constant outside 0..|S|-1 is a ValueError and anything
+    but a Term, a FlatTerm included, a TypeError."""
+    if isinstance(term, Var):
+        return list(map(itemgetter(term.index), points))
+    if isinstance(term, Const):
+        if not 0 <= term.element < semigroup.order:
+            raise ValueError(f"constant {term.element} outside 0..{semigroup.order - 1}")
+        return [term.element] * len(points)
+    if isinstance(term, Inverse):
+        return list(map(semigroup.inv.__getitem__, _values_at(semigroup, term.inner, points)))
+    if isinstance(term, Product):
+        left = _values_at(semigroup, term.left, points)
+        right = _values_at(semigroup, term.right, points)
+        return list(map(getitem, map(semigroup.table.__getitem__, left), right))
+    raise TypeError(f"not a term: {term!r}")
 
 
 def _evaluate_ast(semigroup, term, point):

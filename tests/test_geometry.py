@@ -43,9 +43,11 @@ from eqdom.geometry import (
     _union_of,
 )
 import eqdom.geometry as geometry
+import eqdom.terms as terms
 from eqdom.semigroup import is_group, validate
 from eqdom.terms import (
-    DEFAULT_MAX_CELLS, Const, Var, all_points, clone_closure, evaluate, flatten, parse, term_values,
+    DEFAULT_MAX_CELLS, Const, ParseError, Var, all_points, clone_closure, evaluate, flatten, parse,
+    term_values, _evaluate_ast, _values_at,
 )
 
 C2 = by_name("chain2")
@@ -91,6 +93,10 @@ def test_system_types_are_checked():
         ))
     with pytest.raises(ValueError, match="arity"):
         PointSet(2, frozenset({(0,)}))
+    # an Equation takes a FlatTerm side, but solution_set walks Terms alone
+    flat = flatten(C2, parse("x1 e", 1, C2))
+    with pytest.raises(TypeError, match="not a term: FlatTerm"):
+        solution_set(C2, EquationSystem((Equation(flat, Var(0), 1),)))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -457,6 +463,66 @@ def test_revalidation_runs_neither_closure_nor_its_builder(monkeypatch):
         validate_certificate(sg, cert)
     with pytest.raises(AssertionError, match="reran the closure builder"):
         ed_verdict(BRANDT)
+
+
+def test_certificate_path_builds_no_flat_terms(monkeypatch):
+    # every union, its recheck and solution_set walk the equations' Term
+    # trees; flatten serves the solve echo, term_text and the good-term
+    # normal forms
+    sim2 = by_name("sim2")
+    systems = [
+        (C2, _system(C2, 1, "x1 = e")),
+        (BRANDT, _system(BRANDT, 1, "x1 x1 = x1")),
+        (sim2, _system(sim2, 2, "(x1 x2)^-1 = x2^-1 x1^-1", "x1 _1 = x2 x2^-1")),
+    ]
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the certificate path flattened a term")
+
+    monkeypatch.setattr(terms, "flatten", disabled)
+    monkeypatch.setattr(terms, "_flatten_into", disabled)
+    for sg in map(by_name, CATALOG_NAMES):
+        validate_verdict(sg, ed_verdict(sg))
+    for name in ("chain3", "z3", "z2_zero"):
+        sg = by_name(name)
+        cert = rosenblatt_check(sg)
+        assert isinstance(cert, Certificate) and cert.exact, name
+        validate_certificate(sg, cert)
+    for sg, system in systems:
+        # evaluate walks a Term one point at a time, also without flattening
+        expected = {
+            p for p in all_points(sg.order, system.arity)
+            if all(evaluate(sg, eq.lhs, p) == evaluate(sg, eq.rhs, p) for eq in system.equations)
+        }
+        assert solution_set(sg, system).members == expected
+    with pytest.raises(AssertionError, match="flattened a term"):
+        flatten(C2, Var(0))
+
+
+def _nested(depth):
+    # depth - 1 levels of (t xk)^-1 around x1, in one more pair of
+    # parentheses: depth levels and depth literals
+    text = "x1"
+    for level in range(1, depth):
+        text = f"({text} x{level % 2 + 1})^-1"
+    return f"({text})"
+
+
+@pytest.mark.parametrize("text, over", [
+    # one shared subterm 33 times, then x1: 100 literals
+    ("(x1 e12 x2^-1)^33 x1", "(x1 e12 x2^-1)^33 x1 x2"),
+    (_nested(100), f"({_nested(100)})"),
+], ids=["power", "nesting"])
+def test_tree_walk_at_the_parser_bounds(text, over):
+    with pytest.raises(ParseError, match="more than 100|deeper than 100"):
+        parse(over, 2, BRANDT)
+    lhs, rhs = parse(text, 2, BRANDT), parse("x1 x2^-1", 2, BRANDT)
+    points = list(all_points(BRANDT.order, 2))
+    values = [_evaluate_ast(BRANDT, lhs, p) for p in points]
+    assert _values_at(BRANDT, lhs, points) == values
+    expected = {p for p, v in zip(points, values) if v == _evaluate_ast(BRANDT, rhs, p)}
+    assert 0 < len(expected) < len(points)
+    assert solution_set(BRANDT, EquationSystem((Equation(lhs, rhs, 2),))).members == expected
 
 
 def _sim2_top_union():
