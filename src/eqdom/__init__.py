@@ -38,13 +38,11 @@ from .semigroup import (
 )
 from .terms import (
     Const,
-    FlatTerm,
     Inverse,
     ParseError,
     Product,
     Term,
     Var,
-    clone_closure,
     evaluate,
     flatten,
     parse,

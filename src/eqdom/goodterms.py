@@ -21,7 +21,7 @@ checked against direct evaluation by the tests, not at run time.
 from __future__ import annotations
 
 from ._value import Value
-from .terms import ConstLit, FlatTerm, variables_of
+from .terms import variables_of
 
 
 class GoodTerm(Value):
@@ -70,8 +70,8 @@ class NormalizedBinary(Value):
     tail: int | None
 
 
-def _normal_form(semigroup, flat: FlatTerm, arity: int):
-    """Good terms for x1..x<arity> and the tail of a term, valid on idempotents.
+def _normal_form(semigroup, flat: tuple, arity: int):
+    """Good terms for x1..x<arity> and the tail of a flat term, valid on idempotents.
 
     Exactly the variables x1..x<arity> must occur.  Each occurrence is
     conjugated by the product of the constants before it, and the tail is the
@@ -90,17 +90,17 @@ def _normal_form(semigroup, flat: FlatTerm, arity: int):
 
     prefix: int | None = None
     conjugators: list[list[int | None]] = [[] for _ in range(arity)]
-    for lit in flat.literals:
-        if isinstance(lit, ConstLit):
-            prefix = lit.element if prefix is None else semigroup.table[prefix][lit.element]
+    for lit in flat:
+        if isinstance(lit, tuple):
+            conjugators[lit[0]].append(prefix)
         else:
-            conjugators[lit.index].append(prefix)
+            prefix = lit if prefix is None else semigroup.table[prefix][lit]
     goods = tuple(GoodTerm(tuple(c)) for c in conjugators)
     return goods, prefix
 
 
-def normalize_unary(semigroup, flat: FlatTerm) -> NormalizedUnary:
-    """Good-term-with-tail form of a term in x1, valid on idempotents.
+def normalize_unary(semigroup, flat: tuple) -> NormalizedUnary:
+    """Good-term-with-tail form of a flat term in x1, valid on idempotents.
 
     The variable must actually occur: a constant side has no such form (on
     the 2-chain no good term sends the bottom idempotent anywhere but to
@@ -112,8 +112,8 @@ def normalize_unary(semigroup, flat: FlatTerm) -> NormalizedUnary:
     return NormalizedUnary(good, tail)
 
 
-def normalize_binary(semigroup, flat: FlatTerm) -> NormalizedBinary:
-    """Separated form t(e,f) = good_x(e) good_y(f) tail on idempotent pairs.
+def normalize_binary(semigroup, flat: tuple) -> NormalizedBinary:
+    """Separated form t(e,f) = good_x(e) good_y(f) tail of a flat term, on idempotents.
 
     The conjugates commute, so the x-factors collect in front of the
     y-factors.  Both variables must occur.

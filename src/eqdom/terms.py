@@ -47,37 +47,6 @@ class Inverse(Value):
 Term = Var | Const | Product | Inverse
 
 
-class VarLit(Value):
-    index: int
-    sign: int  # +1 or -1
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"variable index must be >= 0, got {self.index}")
-        if self.sign not in (+1, -1):
-            raise ValueError(f"literal sign must be +1 or -1, got {self.sign}")
-
-
-class ConstLit(Value):
-    element: int
-
-
-Literal = VarLit | ConstLit
-
-
-class FlatTerm(Value):
-    """Nonempty product of literals with no two adjacent constants."""
-
-    literals: tuple[Literal, ...]
-
-    def __post_init__(self) -> None:
-        if not self.literals:
-            raise ValueError("a flat term needs at least one literal")
-        for a, b in zip(self.literals, self.literals[1:]):
-            if isinstance(a, ConstLit) and isinstance(b, ConstLit):
-                raise ValueError("adjacent constants must be fused")
-
-
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         self.position = position
@@ -214,31 +183,29 @@ def _resolve(name, arity, semigroup, pos):
         raise ParseError(f"unknown identifier {name!r}", pos) from None
 
 
-def flatten(semigroup, term: Term) -> FlatTerm:
-    """Equivalent product of literals; evaluation is preserved at every point."""
-    lits: list[Literal] = []
+def flatten(semigroup, term: Term) -> tuple:
+    """Equivalent product of literals, evaluation preserved at every point:
+    a nonempty tuple of element indices (constants, no two adjacent) and
+    pairs (i, +1 or -1) for x_{i+1} or its inverse.  The readers of a flat
+    term (evaluate, variables_of, term_text, goodterms) do not check it."""
+    lits = []
     _flatten_into(semigroup, term, +1, lits)
-    fused: list[Literal] = []
+    fused = []
     for lit in lits:
-        if (
-            fused
-            and isinstance(lit, ConstLit)
-            and isinstance(fused[-1], ConstLit)
-        ):
-            fused[-1] = ConstLit(semigroup.table[fused[-1].element][lit.element])
+        if fused and not isinstance(lit, tuple) and not isinstance(fused[-1], tuple):
+            fused[-1] = semigroup.table[fused[-1]][lit]
         else:
             fused.append(lit)
-    return FlatTerm(tuple(fused))
+    return tuple(fused)
 
 
 def _flatten_into(semigroup, term, sign, out):
     if isinstance(term, Var):
-        out.append(VarLit(term.index, sign))
+        out.append((term.index, sign))
     elif isinstance(term, Const):
         if not 0 <= term.element < semigroup.order:
             raise ValueError(f"constant {term.element} outside 0..{semigroup.order - 1}")
-        elem = term.element if sign > 0 else semigroup.inv[term.element]
-        out.append(ConstLit(elem))
+        out.append(term.element if sign > 0 else semigroup.inv[term.element])
     elif isinstance(term, Inverse):
         _flatten_into(semigroup, term.inner, -sign, out)
     elif isinstance(term, Product):
@@ -253,10 +220,8 @@ def _flatten_into(semigroup, term, sign, out):
 
 
 def variables_of(term) -> frozenset[int]:
-    if isinstance(term, FlatTerm):
-        return frozenset(
-            lit.index for lit in term.literals if isinstance(lit, VarLit)
-        )
+    if isinstance(term, tuple):
+        return frozenset(lit[0] for lit in term if isinstance(lit, tuple))
     if isinstance(term, Var):
         return frozenset((term.index,))
     if isinstance(term, Const):
@@ -284,24 +249,26 @@ def _check_points(semigroup, points) -> None:
 
 
 def evaluate(semigroup, term, point) -> int:
-    """Value of a Term or FlatTerm at a point (tuple of element indices);
-    ValueError when a coordinate lies outside 0..|S|-1.  A FlatTerm is
-    folded a literal at a time, left to right."""
+    """Value of a Term or flat term at a point (tuple of element indices);
+    ValueError when a coordinate lies outside 0..|S|-1, or when a Term has
+    a constant outside it.  A flat term is folded a literal at a time, left
+    to right."""
     order = semigroup.order
     for c in point:
         if not 0 <= c < order:
             raise ValueError(f"point {point} has a coordinate outside 0..{order - 1}")
-    if not isinstance(term, FlatTerm):
+    if not isinstance(term, tuple):
         return _evaluate_ast(semigroup, term, point)
     table, inv = semigroup.table, semigroup.inv
     value = None
-    for lit in term.literals:
-        if isinstance(lit, ConstLit):
-            x = lit.element
-        elif lit.index >= len(point):
-            raise ValueError(f"term uses x{lit.index + 1} but the point has arity {len(point)}")
+    for lit in term:
+        if isinstance(lit, tuple):
+            index, sign = lit
+            if index >= len(point):
+                raise ValueError(f"term uses x{index + 1} but the point has arity {len(point)}")
+            x = point[index] if sign > 0 else inv[point[index]]
         else:
-            x = point[lit.index] if lit.sign > 0 else inv[point[lit.index]]
+            x = lit
         value = x if value is None else table[value][x]
     return value
 
@@ -311,7 +278,7 @@ def _values_at(semigroup, term: Term, points: list) -> list[int]:
     one arity that covers the term's variables, as an Equation's does),
     from one walk of the Term tree over all of them; no flat term is built.
     As in flatten, a constant outside 0..|S|-1 is a ValueError and anything
-    but a Term, a FlatTerm included, a TypeError."""
+    but a Term, a flat term included, a TypeError."""
     if isinstance(term, Var):
         return list(map(itemgetter(term.index), points))
     if isinstance(term, Const):
@@ -335,7 +302,10 @@ def _evaluate_ast(semigroup, term, point):
             )
         return point[term.index]
     if isinstance(term, Const):
-        return term.element
+        element = term.element
+        if 0 <= element < len(semigroup.table):  # not the order property: once per point
+            return element
+        raise ValueError(f"constant {element} outside 0..{semigroup.order - 1}")
     if isinstance(term, Inverse):
         return semigroup.inv[_evaluate_ast(semigroup, term.inner, point)]
     if isinstance(term, Product):
@@ -346,16 +316,16 @@ def _evaluate_ast(semigroup, term, point):
 
 
 def term_text(semigroup, term) -> str:
-    """Canonical flattened rendering, e.g. 'e x2^-1 f x1'."""
-    flat = term if isinstance(term, FlatTerm) else flatten(semigroup, term)
+    """Canonical flattened rendering of a Term or flat term, e.g. 'e x2^-1 f x1'."""
+    flat = term if isinstance(term, tuple) else flatten(semigroup, term)
     parts = []
-    for lit in flat.literals:
-        if isinstance(lit, ConstLit):
-            parts.append(semigroup.names[lit.element])
-        elif lit.sign > 0:
-            parts.append(f"x{lit.index + 1}")
+    for lit in flat:
+        if not isinstance(lit, tuple):
+            parts.append(semigroup.names[lit])
+        elif lit[1] > 0:
+            parts.append(f"x{lit[0] + 1}")
         else:
-            parts.append(f"x{lit.index + 1}^-1")
+            parts.append(f"x{lit[0] + 1}^-1")
     return " ".join(parts)
 
 

@@ -46,8 +46,8 @@ import eqdom.geometry as geometry
 import eqdom.terms as terms
 from eqdom.semigroup import is_group, validate
 from eqdom.terms import (
-    DEFAULT_MAX_CELLS, Const, ParseError, Var, all_points, clone_closure, evaluate, flatten, parse,
-    term_values, _evaluate_ast, _values_at,
+    DEFAULT_MAX_CELLS, Const, ParseError, Product, Var, all_points, clone_closure, evaluate, flatten,
+    parse, term_values, _evaluate_ast, _values_at,
 )
 
 C2 = by_name("chain2")
@@ -93,9 +93,9 @@ def test_system_types_are_checked():
         ))
     with pytest.raises(ValueError, match="arity"):
         PointSet(2, frozenset({(0,)}))
-    # an Equation takes a FlatTerm side, but solution_set walks Terms alone
+    # an Equation takes a flat term side, but solution_set walks Terms alone
     flat = flatten(C2, parse("x1 e", 1, C2))
-    with pytest.raises(TypeError, match="not a term: FlatTerm"):
+    with pytest.raises(TypeError, match="not a term"):
         solution_set(C2, EquationSystem((Equation(flat, Var(0), 1),)))
 
 
@@ -112,10 +112,14 @@ def test_system_types_are_checked():
     (lambda: Equation(Var(-1), Const(0), 2), ">= 0"),
     (lambda: solution_set(C2, EquationSystem((Equation(Var(0), Const(7), 1),))), "outside 0..1"),
     (lambda: solution_set(C2, EquationSystem((Equation(Var(0), Const(-1), 1),))), "outside 0..1"),
+    (lambda: evaluate(C2, Const(-1), (0,)), "constant -1 outside 0..1"),
+    (lambda: evaluate(C2, Product(Const(-1), Var(0)), (0,)), "constant -1 outside 0..1"),
+    (lambda: evaluate(C2, Product(Const(5), Var(0)), (0,)), "constant 5 outside 0..1"),
 ], ids=["closure-negative", "is-algebraic-negative", "closure-too-large", "membership-negative",
         "membership-longer-point", "membership-mixed-set", "evaluate-flat-negative",
         "evaluate-variable-negative", "evaluate-too-large", "negative-variable",
-        "constant-too-large", "constant-negative"])
+        "constant-too-large", "constant-negative", "evaluate-constant-negative",
+        "evaluate-product-constant-negative", "evaluate-product-constant-too-large"])
 def test_indices_outside_s_are_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()

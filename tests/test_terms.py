@@ -9,13 +9,10 @@ from helpers import random_term
 from eqdom.catalog import CATALOG_NAMES, by_name
 from eqdom.terms import (
     Const,
-    ConstLit,
-    FlatTerm,
     Inverse,
     ParseError,
     Product,
     Var,
-    VarLit,
     all_points,
     clone_closure,
     evaluate,
@@ -95,30 +92,19 @@ def test_flatten_pushes_inversion_to_literals():
     term = parse("((s1 x1)^-1 x2 s2)^-1", 2, Z3S)
     flat = flatten(Z3S, term)
     # (s2)^-1 = s1 in the cyclic group of order 3
-    assert flat.literals == (
-        ConstLit(1),
-        VarLit(1, -1),
-        ConstLit(1),
-        VarLit(0, +1),
-    )
+    assert flat == (1, (1, -1), 1, (0, +1))
 
 
 def test_flatten_fuses_adjacent_constants():
     flat = flatten(C2, parse("e f x1 e e", 1, C2))
-    assert flat.literals == (ConstLit(1), VarLit(0, +1), ConstLit(0))
+    assert flat == (1, (0, +1), 0)
     flat = flatten(C2, parse("(x1 f)^-1", 1, C2))
-    assert flat.literals == (ConstLit(1), VarLit(0, -1))
+    assert flat == (1, (0, -1))
 
 
 def test_flat_term_validation():
-    with pytest.raises(ValueError):
-        FlatTerm(())
-    with pytest.raises(ValueError):
-        FlatTerm((ConstLit(0), ConstLit(1)))
-    with pytest.raises(ValueError):
-        VarLit(0, 2)
-    with pytest.raises(ValueError, match=">= 0"):
-        VarLit(-1, +1)
+    # a flat term's shape is checked on flatten's results, in
+    # test_flatten_is_a_normal_form; every walk rejects a non-term
     for walk in (lambda t: flatten(C2, t), variables_of, lambda t: evaluate(C2, t, (0,))):
         with pytest.raises(TypeError, match="not a term"):
             walk("x1")
@@ -130,6 +116,17 @@ def test_flatten_is_a_normal_form():
         for _ in range(60):
             term = random_term(rng, 2, sg.order)
             flat = flatten(sg, term)
+            # a nonempty tuple of constants in range, never two adjacent,
+            # and variable literals (i, +1 or -1) with i below the arity
+            assert isinstance(flat, tuple) and flat
+            for lit in flat:
+                if isinstance(lit, tuple):
+                    index, sign = lit
+                    assert 0 <= index < 2 and sign in (+1, -1)
+                else:
+                    assert 0 <= lit < sg.order
+            for a, b in zip(flat, flat[1:]):
+                assert isinstance(a, tuple) or isinstance(b, tuple)
             # the rendered flat term parses back to a term with the same flattening
             assert flatten(sg, parse(term_text(sg, flat), 2, sg)) == flat
             assert variables_of(flat) == variables_of(term)
@@ -156,7 +153,7 @@ def test_evaluate_checks_arity():
 
 
 def test_evaluate_checks_the_range_first():
-    # the range is checked before the arity, on a Term and a FlatTerm alike
+    # the range is checked before the arity, on a Term and a flat term alike
     for term in (parse("x1 x2", 2, C2), flatten(C2, parse("x1 x2", 2, C2))):
         for point in ((2,), (0, -1)):
             with pytest.raises(ValueError) as exc:
@@ -165,8 +162,7 @@ def test_evaluate_checks_the_range_first():
 
 
 def test_term_text_rendering():
-    flat = FlatTerm((ConstLit(0), VarLit(1, -1), ConstLit(1), VarLit(0, +1)))
-    assert term_text(C2, flat) == "e x2^-1 f x1"
+    assert term_text(C2, (0, (1, -1), 1, (0, +1))) == "e x2^-1 f x1"
     assert term_text(C2, parse("x1 (f x2)^-1", 2, C2)) == "x1 x2^-1 f"
 
 
