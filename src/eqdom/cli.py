@@ -37,7 +37,7 @@ from .semigroup import (
     load_semigroup,
     wagner_preston,
 )
-from .terms import DEFAULT_MAX_CELLS, _check_points, flatten, parse, term_text
+from .terms import DEFAULT_MAX_CELLS, _check_points, parse, term_text
 
 
 def _positive_int(text: str) -> int:
@@ -217,9 +217,7 @@ def cmd_solve(args, sg, out) -> int:
     system = _parse_equations(sg, args.eq, args.arity)
     _header(args, sg, out)
     for eq in system.equations:
-        lhs = term_text(sg, flatten(sg, eq.lhs))
-        rhs = term_text(sg, flatten(sg, eq.rhs))
-        print(f"system: {lhs} = {rhs}", file=out)
+        print(f"system: {term_text(sg, eq.lhs)} = {term_text(sg, eq.rhs)}", file=out)
     print(f"arity: {system.arity}", file=out)
     try:
         solutions = solution_set(sg, system)

@@ -226,51 +226,41 @@ def closure(
     t(q) is a well-defined map on B, the subalgebra of S^pts of the term
     functions' restrictions (subpower membership; Bulatov, Mayr and Steindl,
     IJAC 2016).  B is built once; each point decided costs one pass over its
-    graph.  A permutation of coordinates that maps pts onto itself maps the
-    closure onto itself, so only the first point of each orbit of the
-    coordinate swaps fixing pts is decided (see _swap_blocks) and the rest
-    of the orbit takes its answer.  When B would exceed max_cells cells
-    (vectors times |pts|) every point is kept and exact=False: a superset of
-    the true closure, so only "yes, algebraic" would be unsound and callers
-    must answer unknown.
+    graph.  Only the recheck's points, those of _candidates, are decided, in
+    one loop: a coordinate permutation mapping pts onto itself maps the
+    closure and the candidates onto themselves, so only the first candidate
+    of each orbit of the swaps fixing pts (see _swap_blocks) is decided.
+    When B would exceed max_cells cells (vectors times |pts|) every point
+    is kept and exact=False: a superset of the true closure, so only "yes,
+    algebraic" would be unsound and callers must answer unknown.
     """
     n = pts.arity
     _check_bound("closure", sg.order, n)
     _check_points(sg, pts.members)
-    points = all_points(sg.order, n)
     graph = _subpower(sg, n, sorted(pts.members), max_cells)
     if graph is None:
-        return ClosureReport(PointSet(n, frozenset(points)), False)
-
-    def inside(q):
-        return q in pts.members or _extends_to(sg, graph, q)
-
-    blocks = _swap_blocks(pts)
-    if not blocks:  # no swap fixes pts, as at arity 1: every point decided
-        return ClosureReport(PointSet(n, frozenset(filter(inside, points))), True)
-    # q and its coordinates sorted within each block share one answer; the
-    # sorted form is the least point of q's orbit, so all_points reaches it,
-    # and decides it, first
-    gathers = [_gather(block) for block in blocks]
+        return ClosureReport(PointSet(n, frozenset(all_points(sg.order, n))), False)
+    # q and its coordinates sorted within each block share one answer
+    gathers = [_gather(block) for block in _swap_blocks(pts)]
     answers: dict[tuple[int, ...], bool] = {}
-    members = []
-    for q in points:
+    members = set(pts.members)
+    for q in _candidates(sg, pts):
         key = tuple(chain.from_iterable(sorted(g(q)) for g in gathers))
         answer = answers.get(key)
         if answer is None:
-            answer = answers[key] = inside(q)
+            answer = answers[key] = _extends_to(sg, graph, q)
         if answer:
-            members.append(q)
+            members.add(q)
     return ClosureReport(PointSet(n, frozenset(members)), True)
 
 
 def _swap_blocks(pts: PointSet) -> list[tuple[int, ...]]:
     """The coordinates of pts as blocks, each ascending, joined by the swaps
-    (i j) that map pts onto itself; [] when no swap does.  Swaps generate
-    every permutation within each block, and each permutation maps pts, so
-    the closure, onto itself: for such a permutation s, a term function t
-    and t with its variables permuted by s agree on pts together.  A swap
-    inside a block already joined is not tested."""
+    (i j) that map pts onto itself; singletons when no swap does.  Swaps
+    generate every permutation within each block, and each permutation maps
+    pts, so the closure, onto itself: for such a permutation s, a term
+    function t and t with its variables permuted by s agree on pts
+    together.  A swap inside a block already joined is not tested."""
     n = pts.arity
     block = list(range(n))  # block[i]: the least coordinate joined to i
     for i, j in combinations(range(n), 2):
@@ -282,8 +272,6 @@ def _swap_blocks(pts: PointSet) -> list[tuple[int, ...]]:
         if pts.members.issuperset(map(itemgetter(*swapped), pts.members)):
             low, high = sorted((block[i], block[j]))
             block = [low if b == high else b for b in block]
-    if block == list(range(n)):
-        return []
     return [tuple(i for i in range(n) if block[i] == b) for b in sorted(set(block))]
 
 
@@ -321,20 +309,26 @@ def _closure_members(sg: FiniteInverseSemigroup, ys: list, candidates: list, max
     return [q for q, out in zip(candidates, excluded) if not out]
 
 
-def _recheck_closure(sg: FiniteInverseSemigroup, pts: PointSet, max_cells: int):
-    """The closure of pts by _closure_members, apart from closure(); None
-    past the cap.  The candidates are the points outside pts that satisfy
+def _candidates(sg: FiniteInverseSemigroup, pts: PointSet) -> list[tuple[int, ...]]:
+    """The points that closure() and _recheck_closure decide, in lexicographic
+    order, and the one owner of the rule: those outside pts that satisfy
     x_k x_k = x_k at every coordinate k where every point of pts is
-    idempotent: that equation holds on pts, so on its closure."""
+    idempotent.  That equation holds on pts, so on its closure."""
     table, members = sg.table, pts.members
     idempotents = [a for a in range(sg.order) if table[a][a] == a]
     ranges = [
         idempotents if all(table[p[k]][p[k]] == p[k] for p in members) else range(sg.order)
         for k in range(pts.arity)
     ]
-    candidates = [q for q in _cartesian(*ranges) if q not in members]
-    kept = _closure_members(sg, sorted(members), candidates, max_cells)
-    return None if kept is None else members.union(kept)
+    return [q for q in _cartesian(*ranges) if q not in members]
+
+
+def _recheck_closure(sg: FiniteInverseSemigroup, pts: PointSet, max_cells: int):
+    """The closure of pts by _closure_members, apart from closure() and its
+    subalgebra builder; None past the cap.  It decides the points of
+    _candidates, as closure() does, with its own engine and no swap orbits."""
+    kept = _closure_members(sg, sorted(pts.members), _candidates(sg, pts), max_cells)
+    return None if kept is None else pts.members.union(kept)
 
 
 class AlgebraicVerdict(Value):

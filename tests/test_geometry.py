@@ -469,6 +469,39 @@ def test_revalidation_runs_neither_closure_nor_its_builder(monkeypatch):
         ed_verdict(BRANDT)
 
 
+def test_closure_decides_only_the_candidates(monkeypatch):
+    # closure() decides the points outside its input that satisfy x_k x_k =
+    # x_k wherever the input is idempotent throughout, as the recheck does:
+    # on sim3's incomparable pair 6 idempotent points, not all 32 of S.
+    # Every catalog certificate union within the point bound is checked too
+    sim3 = by_name("sim3")
+    unions = [(sim3, lemma4_check(sim3).union)]
+    unions += [(sg, cert.union) for sg in map(by_name, CATALOG_NAMES)
+               for cert in ed_verdict(sg).certificates if cert.union is not None]
+    unions += [(by_name(name), rosenblatt_check(by_name(name)).union)
+               for name in ("chain2", "z2", "chain3", "z3", "z5", "z2_zero")]
+    decided = []
+    extends_to = geometry._extends_to
+
+    def recording(sg, graph, q):
+        decided.append(q)
+        return extends_to(sg, graph, q)
+
+    monkeypatch.setattr(geometry, "_extends_to", recording)
+    for k, (sg, union) in enumerate(unions):
+        decided.clear()
+        closure(sg, union)
+        table = sg.table
+        if k == 0:
+            assert len(decided) == 6
+            assert all(table[c][c] == c for q in decided for c in q)
+        idempotent = [i for i in range(union.arity)
+                      if all(table[p[i]][p[i]] == p[i] for p in union.members)]
+        for q in decided:
+            assert q not in union.members, (sg.label, q)
+            assert all(table[q[i]][q[i]] == q[i] for i in idempotent), (sg.label, q)
+
+
 def test_certificate_path_builds_no_flat_terms(monkeypatch):
     # every union, its recheck and solution_set walk the equations' Term
     # trees; flatten serves the solve echo, term_text and the good-term
