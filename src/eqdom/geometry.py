@@ -8,7 +8,7 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, islice, product as _cartesian
+from itertools import chain, combinations, compress, islice, product as _cartesian, repeat
 from operator import eq as equal, itemgetter, or_
 from typing import Callable
 
@@ -22,15 +22,12 @@ from .semigroup import (
 )
 from .terms import (
     DEFAULT_MAX_CELLS,
-    Const,
     Term,
-    Var,
     _check_points,
     _gather,
     _multipliers,
     _values_at,
     all_points,
-    evaluate,
     term_values,
     variables_of,
 )
@@ -241,10 +238,10 @@ def closure(
     if graph is None:
         return ClosureReport(PointSet(n, frozenset(all_points(sg.order, n))), False)
     # q and its coordinates sorted within each block share one answer
-    gathers = [_gather(block) for block in _swap_blocks(pts)]
+    gathers = [_gather(block) for block in _swap_blocks(pts.members, n)]
     answers: dict[tuple[int, ...], bool] = {}
     members = set(pts.members)
-    for q in _candidates(sg, pts):
+    for q in _candidates(sg, pts.members, n):
         key = tuple(chain.from_iterable(sorted(g(q)) for g in gathers))
         answer = answers.get(key)
         if answer is None:
@@ -254,25 +251,24 @@ def closure(
     return ClosureReport(PointSet(n, frozenset(members)), True)
 
 
-def _swap_blocks(pts: PointSet) -> list[tuple[int, ...]]:
-    """The coordinates of pts as blocks, each ascending, joined by the swaps
-    (i j) that map pts onto itself; singletons when no swap does.  Swaps
-    generate every permutation within each block, and each permutation maps
-    pts, so the closure, onto itself: for such a permutation s, a term
-    function t and t with its variables permuted by s agree on pts
-    together.  A swap inside a block already joined is not tested."""
-    n = pts.arity
-    block = list(range(n))  # block[i]: the least coordinate joined to i
-    for i, j in combinations(range(n), 2):
+def _swap_blocks(members: frozenset, arity: int) -> list[tuple[int, ...]]:
+    """The coordinates as blocks, each ascending, joined by the swaps (i j)
+    that map members onto itself; singletons when no swap does.  Swaps
+    generate every permutation within each block, and each one maps members,
+    so its closure, onto itself: for such a permutation s, a term function t
+    and t with its variables permuted by s agree on members together.  A
+    swap inside a block already joined is not tested."""
+    block = list(range(arity))  # block[i]: the least coordinate joined to i
+    for i, j in combinations(range(arity), 2):
         if block[i] == block[j]:
             continue
-        swapped = list(range(n))
+        swapped = list(range(arity))
         swapped[i], swapped[j] = j, i
-        # a swap is a bijection, so an image inside pts is all of pts
-        if pts.members.issuperset(map(itemgetter(*swapped), pts.members)):
+        # a swap is a bijection, so an image inside members is all of it
+        if members.issuperset(map(itemgetter(*swapped), members)):
             low, high = sorted((block[i], block[j]))
             block = [low if b == high else b for b in block]
-    return [tuple(i for i in range(n) if block[i] == b) for b in sorted(set(block))]
+    return [tuple(i for i in range(arity) if block[i] == b) for b in sorted(set(block))]
 
 
 def in_subpower_closure(
@@ -309,26 +305,26 @@ def _closure_members(sg: FiniteInverseSemigroup, ys: list, candidates: list, max
     return [q for q, out in zip(candidates, excluded) if not out]
 
 
-def _candidates(sg: FiniteInverseSemigroup, pts: PointSet) -> list[tuple[int, ...]]:
+def _candidates(sg: FiniteInverseSemigroup, members: frozenset, arity: int) -> list:
     """The points that closure() and _recheck_closure decide, in lexicographic
-    order, and the one owner of the rule: those outside pts that satisfy
-    x_k x_k = x_k at every coordinate k where every point of pts is
-    idempotent.  That equation holds on pts, so on its closure."""
-    table, members = sg.table, pts.members
+    order, and the one owner of the rule: those outside members that satisfy
+    x_k x_k = x_k at every coordinate k where every member is idempotent.
+    That equation holds on members, so on its closure."""
+    table = sg.table
     idempotents = [a for a in range(sg.order) if table[a][a] == a]
     ranges = [
         idempotents if all(table[p[k]][p[k]] == p[k] for p in members) else range(sg.order)
-        for k in range(pts.arity)
+        for k in range(arity)
     ]
     return [q for q in _cartesian(*ranges) if q not in members]
 
 
-def _recheck_closure(sg: FiniteInverseSemigroup, pts: PointSet, max_cells: int):
-    """The closure of pts by _closure_members, apart from closure() and its
-    subalgebra builder; None past the cap.  It decides the points of
+def _recheck_closure(sg: FiniteInverseSemigroup, members: frozenset, arity: int, max_cells: int):
+    """The closure of members by _closure_members, apart from closure() and
+    its subalgebra builder; None past the cap.  It decides the points of
     _candidates, as closure() does, with its own engine and no swap orbits."""
-    kept = _closure_members(sg, sorted(pts.members), _candidates(sg, pts), max_cells)
-    return None if kept is None else pts.members.union(kept)
+    kept = _closure_members(sg, sorted(members), _candidates(sg, members, arity), max_cells)
+    return None if kept is None else members.union(kept)
 
 
 class AlgebraicVerdict(Value):
@@ -348,10 +344,13 @@ def is_algebraic(
     report = closure(sg, pts, max_cells=max_cells)
     if not report.exact:
         return AlgebraicVerdict("unknown", None, report)
-    if report.points.members == pts.members:
-        return AlgebraicVerdict("yes", None, report)
-    witness = min(report.points.members - pts.members)
-    return AlgebraicVerdict("no", witness, report)
+    witness = _least_witness(pts.members, report.points.members)
+    return AlgebraicVerdict("yes" if witness is None else "no", witness, report)
+
+
+def _least_witness(members: frozenset, closed: frozenset) -> tuple[int, ...] | None:
+    """The witness where any will do: the least of closed minus members."""
+    return min(closed - members, default=None)
 
 
 class Unknown(Value):
@@ -408,15 +407,17 @@ class CertificateKind(Value):
     choices lists every idempotent tuple the kind may name, least first, and
     is empty when the kind does not apply.  A cited kind has no equations;
     its choices recheck the cited fact from the Cayley table.  A witness kind
-    shows that a union of two solution sets is not algebraic: equations
-    gives the two equations whose solution sets form the union; witness
-    gives the point proved to lie in the closure of the union but not in
-    it, or None when any such point will do (is_algebraic's least witness is
+    shows that a union of two solution sets in S^arity is not algebraic:
+    equations holds the two atomic equations of the union as data, each a
+    triple (i, j, c) for x_{i+1} = x_{j+1}, or x_{i+1} = idempotents[c] when
+    j is None; witness gives the point proved to lie in the closure of the
+    union but not in it, or None when any such point will do (the least is
     reported); subject is what the point-bound message names.
     """
 
     choices: Callable[[FiniteInverseSemigroup], tuple[tuple[int, ...], ...]]
-    equations: Callable[[FiniteInverseSemigroup, tuple], tuple[Equation, Equation]] | None = None
+    equations: tuple[tuple[int, int | None, int | None], ...] | None = None
+    arity: int | None = None
     witness: Callable[[FiniteInverseSemigroup, tuple], tuple[int, ...] | None] | None = None
     subject: str = "closure"
 
@@ -441,39 +442,38 @@ CERTIFICATE_KINDS: dict[str, CertificateKind] = {
         choices=lambda sg: (tuple(sg.idempotents),) if is_group(sg) else (),
     ),
     "ZeroPresent": CertificateKind(choices=_zero),
-    "IncomparableWitness": CertificateKind(
+    "IncomparableWitness": CertificateKind(  # x1 = e, x1 = f
         choices=incomparable_pairs,
-        equations=lambda sg, ef: (
-            Equation(Var(0), Const(ef[0]), 1), Equation(Var(0), Const(ef[1]), 1)
-        ),
+        equations=((0, None, 0), (0, None, 1)), arity=1,
         witness=lambda sg, ef: (sg.table[ef[0]][ef[1]],),
     ),
-    "ChainWitness": CertificateKind(
+    "ChainWitness": CertificateKind(  # x1 = t, x2 = t
         choices=_chain_extremes,
-        equations=lambda sg, tb: (
-            Equation(Var(0), Const(tb[0]), 2), Equation(Var(1), Const(tb[0]), 2)
-        ),
+        equations=((0, None, 0), (1, None, 0)), arity=2,
         witness=lambda sg, tb: (tb[1], tb[1]),
     ),
-    "RosenblattWitness": CertificateKind(
+    "RosenblattWitness": CertificateKind(  # x1 = x2, x3 = x4
         choices=lambda sg: ((),),
-        equations=lambda sg, _: (Equation(Var(0), Var(1), 4), Equation(Var(2), Var(3), 4)),
+        equations=((0, 1, None), (2, 3, None)), arity=4,
         witness=lambda sg, _: None,
         subject="rosenblatt union",
     ),
 }
 
 
-def _union_of(sg, kind: CertificateKind, equations) -> PointSet:
-    """The union of the two equations' solution sets: the points of
-    S^arity where either equation holds, each evaluated directly.
+def _union_of(sg: FiniteInverseSemigroup, kind: CertificateKind, idempotents: tuple) -> frozenset:
+    """The points of S^arity where either of the kind's two equations holds,
+    for the recorded idempotents, coordinates compared directly.
     BoundExceededError, naming kind.subject, when S^arity has more than
     MAX_POINTS points."""
-    arity = equations[0].arity
-    _check_bound(kind.subject, sg.order, arity)
-    points = list(all_points(sg.order, arity))
-    first, second = (_holds(sg, eq, points) for eq in equations)
-    return PointSet(arity, frozenset(compress(points, map(or_, first, second))))
+    _check_bound(kind.subject, sg.order, kind.arity)
+    points = list(all_points(sg.order, kind.arity))
+    first, second = (
+        map(equal, map(itemgetter(i), points),
+            map(itemgetter(j), points) if j is not None else repeat(idempotents[c]))
+        for i, j, c in kind.equations
+    )
+    return frozenset(compress(points, map(or_, first, second)))
 
 
 def _certificate(
@@ -489,23 +489,21 @@ def _certificate(
     if kind.equations is None:
         return Certificate(kind_name, idem)
     try:
-        u = _union_of(sg, kind, kind.equations(sg, idem))
+        union = PointSet(kind.arity, _union_of(sg, kind, idem))
     except BoundExceededError as exc:
         return Unknown(str(exc))
-    verdict = is_algebraic(sg, u, max_cells=max_cells)
-    if verdict.status == "unknown":
+    report = closure(sg, union, max_cells=max_cells)
+    if not report.exact:
         return Unknown("clone truncated; closure is not exact")
-    closed = verdict.report.points.members
+    closed = report.points.members
     witness = kind.witness(sg, idem)
     if witness is None:
-        if verdict.status == "yes":
+        witness = _least_witness(union.members, closed)
+        if witness is None:
             return None
-        witness = verdict.witness
-    elif witness in u.members or witness not in closed:
+    elif witness in union.members or witness not in closed:
         raise CertificateError(f"{kind_name} failed its membership facts")
-    return Certificate(
-        kind_name, idem, u, witness, closure_size=len(closed), exact=True
-    )
+    return Certificate(kind_name, idem, union, witness, len(closed), True)
 
 
 def lemma4_check(
@@ -588,9 +586,9 @@ def validate_certificate(
     Every kind rechecks, through its choices, that it may name the recorded
     idempotents; a cited kind must record nothing more.  A witness kind
     recomputes the union and re-verifies the witness rule; the witness must
-    fail both equations (evaluated directly).  One term_values orbit over
-    the union and the candidate points (_recheck_closure) then decides the
-    whole closure: the witness must lie in it and its size must match.
+    fail both equations, compared on its coordinates.  One term_values orbit
+    over the union and the candidate points (_recheck_closure) then decides
+    the whole closure: the witness must lie in it and its size must match.
     Neither closure() nor its subalgebra builder runs, so the recorded size
     and the rechecked one come from different code over different points.
     """
@@ -603,22 +601,22 @@ def validate_certificate(
         if any(f is not None for f in (cert.union, cert.witness, cert.closure_size, cert.exact)):
             raise CertificateError(f"{cert.kind} is cited and records only idempotents")
         return
-    equations = kind.equations(sg, cert.idempotents)
     try:
-        expected_union = _union_of(sg, kind, equations)
+        expected_union = _union_of(sg, kind, cert.idempotents)
     except BoundExceededError as exc:
         raise CertificateError(str(exc)) from None
-    if cert.union is None or cert.union.members != expected_union.members:
+    if cert.union is None or cert.union.members != expected_union:
         raise CertificateError("recorded union does not match its definition")
     rule = kind.witness(sg, cert.idempotents)
     if rule is not None and cert.witness != rule:
         raise CertificateError("witness does not follow the rule of its kind")
     w = cert.witness
-    if w is None or len(w) != expected_union.arity or not all(0 <= c < sg.order for c in w):
+    if w is None or len(w) != kind.arity or not all(0 <= c < sg.order for c in w):
         raise CertificateError("witness is not a point of the union's arity")
-    if any(evaluate(sg, eq.lhs, w) == evaluate(sg, eq.rhs, w) for eq in equations):
+    idem = cert.idempotents
+    if any(w[i] == (w[j] if j is not None else idem[c]) for i, j, c in kind.equations):
         raise CertificateError("witness lies inside the union")
-    closed = _recheck_closure(sg, expected_union, max_cells)
+    closed = _recheck_closure(sg, expected_union, kind.arity, max_cells)
     if closed is None:
         raise CertificateError("closure no longer exact under the given bounds")
     if w not in closed:

@@ -187,7 +187,7 @@ def flatten(semigroup, term: Term) -> tuple:
     """Equivalent product of literals, evaluation preserved at every point:
     a nonempty tuple of element indices (constants, no two adjacent) and
     pairs (i, +1 or -1) for x_{i+1} or its inverse.  The readers of a flat
-    term (evaluate, variables_of, term_text, goodterms) do not check it."""
+    term (evaluate, variables_of, goodterms) do not check it."""
     lits = []
     _flatten_into(semigroup, term, +1, lits)
     fused = []
@@ -315,11 +315,10 @@ def _evaluate_ast(semigroup, term, point):
     raise TypeError(f"not a term: {term!r}")
 
 
-def term_text(semigroup, term) -> str:
-    """Canonical flattened rendering of a Term or flat term, e.g. 'e x2^-1 f x1'."""
-    flat = term if isinstance(term, tuple) else flatten(semigroup, term)
+def term_text(semigroup, term: Term) -> str:
+    """Canonical flattened rendering of a Term, e.g. 'e x2^-1 f x1'."""
     parts = []
-    for lit in flat:
+    for lit in flatten(semigroup, term):
         if not isinstance(lit, tuple):
             parts.append(semigroup.names[lit])
         elif lit[1] > 0:
@@ -364,27 +363,30 @@ def _multipliers(semigroup, literals, length: int):
     While |S| <= 256 a vector is bytes whose coordinate i holds the code
     (i mod k) |S| + a of its element a, k = 256 // |S|; v c is
     v.translate(right[c]) (semigroup._right_codes).  flats[j] holds the
-    code of a literals[j][i] at i |S| + a: padded to a translate table when
-    the vector fits one chunk of k coordinates, else gathered at the
-    indices v[i] + (i - i mod k) |S| and wrapped in bytes.  Above 256 a
-    vector is a tuple of elements and both products are gathers, as with
-    k = 1.  A code is a bijection on each coordinate, so no orbit order,
-    vector count or answer depends on the encoding.
+    code of a literals[j][i] at i |S| + a: in one chunk of k coordinates a
+    translate table, slice i |S| of each right[literals[j][i]] padded to 256,
+    else gathered at the indices v[i] + (i - i mod k) |S| and wrapped in
+    bytes.  Above 256 a vector is a tuple of elements and both products are
+    gathers, as with k = 1.  A code is a bijection on each coordinate, so no
+    orbit order, vector count or answer depends on the encoding.
     """
     order = semigroup.order
     chunk = max(256 // order, 1)
     shifts = [i % chunk * order for i in range(length)]
     offsets = [i * order - shift for i, shift in enumerate(shifts)]
     right = semigroup._right
-    flats = [tuple(s + x for s, c in zip(shifts, g) for x in right[c]) for g in literals]
+    if order > 256 or length > chunk:
+        flats = [tuple(s + x for s, c in zip(shifts, g) for x in right[c]) for g in literals]
     if order > 256:
         def times(v, constant_ops, literal_ops):
             gather = _gather(tuple(map(add, offsets, v)))
             return map(_gather(v), constant_ops), map(gather, literal_ops)
 
         return tuple, right, flats, times
+    codes = semigroup._right_codes
     if length <= chunk:
-        flats = [bytes(flat) + bytes(256 - order * length) for flat in flats]
+        flats = [b"".join([codes[c][s:s + order] for s, c in zip(shifts, g)])
+                 + bytes(256 - order * length) for g in literals]
 
         def times(v, constant_ops, literal_ops):
             return map(v.translate, constant_ops), map(v.translate, literal_ops)
@@ -396,7 +398,7 @@ def _multipliers(semigroup, literals, length: int):
     def encode(column):
         return bytes(map(add, shifts, column))
 
-    return encode, semigroup._right_codes, flats, times
+    return encode, codes, flats, times
 
 
 def term_values(semigroup, coords, excluded=()):

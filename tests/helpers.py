@@ -7,6 +7,8 @@ same terms.  direct_product() and cyclic_with_zero() build semigroups
 beyond the catalog, and inverse_semigroups() lists every one of a small
 order up to isomorphism, each its own least_relabelling().  plain_orbit()
 is a reference subpower orbit, kept apart from the library's.
+kind_equations() builds the Equations that a certificate kind's atomic
+equations stand for, so that solution_set checks the data form.
 partial_injections() lists the image tuples on n points without the
 factory's injectivity filter, and check_wagner_preston_maps() checks the
 shape and domains of the Wagner-Preston maps.
@@ -18,6 +20,7 @@ from itertools import permutations, product
 from operator import getitem
 
 from eqdom.catalog import by_name
+from eqdom.geometry import Equation
 from eqdom.semigroup import validate
 from eqdom.terms import Const, Inverse, Product, Var
 
@@ -161,6 +164,16 @@ def plain_orbit(sg, ys, arity):
                 seen.add(product)
                 orbit.append(product)
     return seen
+
+
+def kind_equations(kind, idempotents):
+    """The two Equations of a witness kind's atomic equations (i, j, c) for
+    the recorded idempotents: x_{i+1} = x_{j+1}, or x_{i+1} = the constant
+    idempotents[c] when j is None."""
+    return tuple(
+        Equation(Var(i), Var(j) if j is not None else Const(idempotents[c]), kind.arity)
+        for i, j, c in kind.equations
+    )
 
 
 def partial_injections(n):

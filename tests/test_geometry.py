@@ -13,6 +13,7 @@ from helpers import (
     cyclic_with_zero,
     direct_product,
     inverse_semigroups,
+    kind_equations,
     least_relabelling,
     plain_orbit,
 )
@@ -280,23 +281,30 @@ def test_closure_of_a_set_no_swap_fixes_is_not_symmetrized():
     assert closure(C2, _points(2, (0, 1))).points.members == {(0, 1)}
 
 
+def _order_5():
+    # the 52 classes of tests/inverse_semigroups_5.json as semigroups
+    fixture = Path(__file__).with_name("inverse_semigroups_5.json")
+    names = [f"s{i}" for i in range(5)]
+    return [validate(names, tuple(map(tuple, rows)), f"inv5_{k}")
+            for k, rows in enumerate(json.loads(fixture.read_text()))]
+
+
 def test_union_of_equals_the_union_of_the_solution_sets():
-    # every witness kind's union on the catalog, within the point bound
-    checked = 0
-    for name in CATALOG_NAMES:
-        sg = by_name(name)
-        for kind in CERTIFICATE_KINDS.values():
-            if kind.equations is None:
-                continue
-            for idem in kind.choices(sg):
-                equations = kind.equations(sg, idem)
-                if sg.order ** equations[0].arity > MAX_POINTS:
+    # every witness kind's union, within the point bound, on the catalog and
+    # on the 52 classes of order 5: the atomic equations as data give the
+    # points where solution_set's walk of the equivalent Equations holds
+    checked = Counter()
+    for source, semigroups in (("catalog", map(by_name, CATALOG_NAMES)), ("order 5", _order_5())):
+        for sg in semigroups:
+            for kind in CERTIFICATE_KINDS.values():
+                if kind.equations is None or sg.order ** kind.arity > MAX_POINTS:
                     continue
-                parts = [solution_set(sg, EquationSystem((eq,))) for eq in equations]
-                union = _union_of(sg, kind, equations)
-                assert union == PointSet(union.arity, parts[0].members | parts[1].members)
-                checked += 1
-    assert checked == 34
+                for idem in kind.choices(sg):
+                    parts = [solution_set(sg, EquationSystem((eq,)))
+                             for eq in kind_equations(kind, idem)]
+                    assert _union_of(sg, kind, idem) == parts[0].members | parts[1].members
+                    checked[source] += 1
+    assert checked == {"catalog": 34, "order 5": 207}
 
 
 @pytest.mark.parametrize("name, arity", [
@@ -380,7 +388,8 @@ def _recheck_agrees(sg, y):
     report = closure(sg, y)
     assert report.exact
     members = report.points.members
-    assert _recheck_closure(sg, y, DEFAULT_MAX_CELLS) == members, sorted(y.members)
+    rechecked = _recheck_closure(sg, y.members, y.arity, DEFAULT_MAX_CELLS)
+    assert rechecked == members, sorted(y.members)
     pts = all_points(sg.order, y.arity)
     assert {p for p in pts if in_subpower_closure(sg, y.members, p)} == members
     if not y.members:
@@ -388,7 +397,7 @@ def _recheck_agrees(sg, y):
     cells = len(plain_orbit(sg, sorted(y.members), y.arity)) * len(y.members)
     for max_cells in (cells, cells - 1, cells // 2, len(y.members)):
         capped = closure(sg, y, max_cells=max_cells)
-        rechecked = _recheck_closure(sg, y, max_cells)
+        rechecked = _recheck_closure(sg, y.members, y.arity, max_cells)
         if capped.exact:
             assert rechecked == members, (sorted(y.members), max_cells)
         else:
@@ -422,10 +431,7 @@ def test_orbit_recheck_agrees_on_the_rosenblatt_union(name):
 
 def test_orbit_recheck_agrees_on_every_order_5_table():
     # each witness union of the 52 classes, and seeded Y at arities 1 and 2
-    fixture = Path(__file__).with_name("inverse_semigroups_5.json")
-    names = [f"s{i}" for i in range(5)]
-    for k, rows in enumerate(json.loads(fixture.read_text())):
-        sg = validate(names, tuple(map(tuple, rows)), f"inv5_{k}")
+    for sg in _order_5():
         for cert in ed_verdict(sg).certificates:
             if cert.union is not None:
                 _recheck_agrees(sg, cert.union)
@@ -444,7 +450,8 @@ def test_orbit_recheck_agrees_with_closure_in_both_encodings(make):
     e, z = (sg.identity,), (sg.zero,)
     for ys in ([e], [e, z], [(1,)]):
         y = PointSet(1, frozenset(ys))
-        assert _recheck_closure(sg, y, DEFAULT_MAX_CELLS) == closure(sg, y).points.members, ys
+        rechecked = _recheck_closure(sg, y.members, 1, DEFAULT_MAX_CELLS)
+        assert rechecked == closure(sg, y).points.members, ys
 
 
 def test_revalidation_runs_neither_closure_nor_its_builder(monkeypatch):
@@ -534,6 +541,26 @@ def test_certificate_path_builds_no_flat_terms(monkeypatch):
         assert solution_set(sg, system).members == expected
     with pytest.raises(AssertionError, match="flattened a term"):
         flatten(C2, Var(0))
+
+
+def test_certificate_path_builds_no_equations(monkeypatch):
+    # each witness kind's two atomic equations are data: building and
+    # rechecking a certificate compare coordinates and build no Equation,
+    # Var or Const
+    def disabled(self):
+        raise AssertionError(f"the certificate path built a {type(self).__name__}")
+
+    for cls in (Equation, Var, Const):
+        monkeypatch.setattr(cls, "__post_init__", disabled)
+    for sg in map(by_name, CATALOG_NAMES):
+        validate_verdict(sg, ed_verdict(sg))
+        if sg.order ** 4 <= MAX_POINTS:
+            cert = rosenblatt_check(sg)
+            if isinstance(cert, Certificate):
+                validate_certificate(sg, cert)
+    for build in (lambda: Var(0), lambda: Const(0)):
+        with pytest.raises(AssertionError, match="built a"):
+            build()
 
 
 def _nested(depth):
@@ -993,7 +1020,8 @@ def test_each_kind_is_rejected_where_it_does_not_apply(name, kind_name, idempote
     assert kind.choices(sg) == ()
     cert = Certificate(kind_name, idempotents)
     if kind.equations is not None:
-        parts = [solution_set(sg, EquationSystem((eq,))) for eq in kind.equations(sg, idempotents)]
+        parts = [solution_set(sg, EquationSystem((eq,)))
+                 for eq in kind_equations(kind, idempotents)]
         union = PointSet(parts[0].arity, parts[0].members | parts[1].members)
         size = len(closure(sg, union).points.members)
         cert = Certificate(kind_name, idempotents, union, kind.witness(sg, idempotents), size, True)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from helpers import random_term
+from helpers import cyclic_with_zero, random_term
 from eqdom.catalog import CATALOG_NAMES, by_name
 from eqdom.terms import (
     Const,
@@ -20,6 +20,7 @@ from eqdom.terms import (
     parse,
     term_text,
     variables_of,
+    _multipliers,
 )
 from eqdom.semigroup import validate
 
@@ -127,8 +128,8 @@ def test_flatten_is_a_normal_form():
                     assert 0 <= lit < sg.order
             for a, b in zip(flat, flat[1:]):
                 assert isinstance(a, tuple) or isinstance(b, tuple)
-            # the rendered flat term parses back to a term with the same flattening
-            assert flatten(sg, parse(term_text(sg, flat), 2, sg)) == flat
+            # the rendered term parses back to a term with the same flattening
+            assert flatten(sg, parse(term_text(sg, term), 2, sg)) == flat
             assert variables_of(flat) == variables_of(term)
 
 
@@ -162,7 +163,8 @@ def test_evaluate_checks_the_range_first():
 
 
 def test_term_text_rendering():
-    assert term_text(C2, (0, (1, -1), 1, (0, +1))) == "e x2^-1 f x1"
+    term = Product(Product(Product(Const(0), Inverse(Var(1))), Const(1)), Var(0))
+    assert term_text(C2, term) == "e x2^-1 f x1"
     assert term_text(C2, parse("x1 (f x2)^-1", 2, C2)) == "x1 x2^-1 f"
 
 
@@ -233,3 +235,59 @@ def test_clone_tables_and_order_are_pinned():
 def test_clone_rejects_bad_arity():
     with pytest.raises(ValueError):
         clone_closure(C2, 0)
+
+
+def _multiplier_semigroup(order):
+    names = {1: "trivial", 2: "z2", 3: "chain3", 34: "sim3"}
+    return by_name(names[order]) if order in names else cyclic_with_zero(order - 1)
+
+
+def _check_products(sg, length, literals, encode, right, flats, times, rng):
+    # a seeded vector times each constant and each literal column, read
+    # back through codes mod |S|, is the product of the elements
+    column = [rng.randrange(sg.order) for _ in range(length)]
+    by_constants, by_literals = times(encode(column), right, flats)
+    for c, product in enumerate(by_constants):
+        assert [x % sg.order for x in product] == [sg.table[a][c] for a in column]
+    for g, product in zip(literals, by_literals):
+        assert [x % sg.order for x in product] == [sg.table[a][b] for a, b in zip(column, g)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 14, 34, 85, 128, 256])
+def test_single_chunk_literal_tables_follow_the_elementwise_rule(order):
+    # a vector of k = 256 // |S| coordinates or fewer is one chunk: the
+    # table of a literal column c holds the code i |S| + a c_i at i |S| + a,
+    # padded with zeros to 256 bytes
+    sg = _multiplier_semigroup(order)
+    rng = random.Random(f"multipliers/{order}")
+    for length in range(1, 256 // order + 1):
+        literals = [[rng.randrange(order) for _ in range(length)] for _ in range(3)]
+        encode, right, flats, times = _multipliers(sg, literals, length)
+        assert right is sg._right_codes
+        for column, flat in zip(literals, flats):
+            assert flat == bytes(
+                i * order + sg.table[a][c] for i, c in enumerate(column) for a in range(order)
+            ) + bytes(256 - order * length)
+        _check_products(sg, length, literals, encode, right, flats, times, rng)
+
+
+@pytest.mark.parametrize("order, lengths", [
+    (1, [257, 300]), (2, [129, 300]), (3, [86, 170]), (14, [19, 40]), (34, [8, 17]),
+    (85, [4, 7]), (128, [3, 5]), (256, [2, 3]), (257, [1, 2, 3]),
+])
+def test_gathered_literal_operands_are_the_shifted_columns(order, lengths):
+    # past one chunk, and past 256 elements, a literal column c is the
+    # tuple holding the code (i mod k) |S| + a c_i at i |S| + a, k = 1 past 256
+    sg = _multiplier_semigroup(order)
+    chunk = max(256 // order, 1)
+    rng = random.Random(f"gathered/{order}")
+    for length in lengths:
+        literals = [[rng.randrange(order) for _ in range(length)] for _ in range(3)]
+        encode, right, flats, times = _multipliers(sg, literals, length)
+        assert encode is tuple if order > 256 else right is sg._right_codes
+        for column, flat in zip(literals, flats):
+            assert flat == tuple(
+                i % chunk * order + sg.table[a][c]
+                for i, c in enumerate(column) for a in range(order)
+            )
+        _check_products(sg, length, literals, encode, right, flats, times, rng)
