@@ -8,7 +8,7 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress, islice, product as _cartesian, repeat
+from itertools import chain, combinations, compress, product as _cartesian, repeat
 from operator import eq as equal, itemgetter, or_
 from typing import Callable
 
@@ -297,12 +297,9 @@ def _closure_members(sg: FiniteInverseSemigroup, ys: list, candidates: list, max
     (one per ys part), would exceed max_cells cells (vectors times |ys|),
     the place where closure() gives up too.  The orbit stops early once
     every candidate is out, so it may answer where closure() would not."""
-    excluded = [False] * len(candidates)
     limit = max_cells // len(ys) if ys else 1  # with no ys, B is one empty vector
-    orbit = term_values(sg, ys + candidates, excluded)
-    if len(list(islice(orbit, limit + 1))) > limit:
-        return None
-    return [q for q, out in zip(candidates, excluded) if not out]
+    kept, still_open = term_values(sg, ys + candidates, len(candidates), limit)
+    return None if len(kept) > limit else [candidates[k] for k in still_open]
 
 
 def _candidates(sg: FiniteInverseSemigroup, members: frozenset, arity: int) -> list:
@@ -339,18 +336,13 @@ def is_algebraic(
     *,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> AlgebraicVerdict:
-    """Is pts the solution set of some system?  "no" carries a witness point
+    """Is pts the solution set of some system?  "no" carries the least point
     of closure(pts) minus pts; an inexact closure answers "unknown"."""
     report = closure(sg, pts, max_cells=max_cells)
     if not report.exact:
         return AlgebraicVerdict("unknown", None, report)
-    witness = _least_witness(pts.members, report.points.members)
+    witness = min(report.points.members - pts.members, default=None)
     return AlgebraicVerdict("yes" if witness is None else "no", witness, report)
-
-
-def _least_witness(members: frozenset, closed: frozenset) -> tuple[int, ...] | None:
-    """The witness where any will do: the least of closed minus members."""
-    return min(closed - members, default=None)
 
 
 class Unknown(Value):
@@ -479,8 +471,8 @@ def _union_of(sg: FiniteInverseSemigroup, kind: CertificateKind, idempotents: tu
 def _certificate(
     sg: FiniteInverseSemigroup, kind_name: str, max_cells: int
 ) -> Certificate | Unknown | None:
-    """The certificate of one kind: None when the kind does not apply or its
-    union is algebraic, Unknown when the bounds are too small."""
+    """The certificate of one kind, its witness unchecked: None when the kind
+    does not apply or its union is algebraic, Unknown past the bounds."""
     kind = CERTIFICATE_KINDS[kind_name]
     choices = kind.choices(sg)
     if not choices:
@@ -496,14 +488,9 @@ def _certificate(
     if not report.exact:
         return Unknown("clone truncated; closure is not exact")
     closed = report.points.members
-    witness = kind.witness(sg, idem)
-    if witness is None:
-        witness = _least_witness(union.members, closed)
-        if witness is None:
-            return None
-    elif witness in union.members or witness not in closed:
-        raise CertificateError(f"{kind_name} failed its membership facts")
-    return Certificate(kind_name, idem, union, witness, len(closed), True)
+    witness = kind.witness(sg, idem) or min(closed - union.members, default=None)
+    return None if witness is None else Certificate(
+        kind_name, idem, union, witness, len(closed), True)
 
 
 def lemma4_check(
@@ -574,57 +561,60 @@ def ed_verdict(sg: FiniteInverseSemigroup, *, max_cells: int = DEFAULT_MAX_CELLS
     return Verdict("NotED", certificates, truncated)
 
 
+def _same(a, b) -> bool:
+    """a == b with one type throughout, through tuples, so that 16.0, True,
+    [0] and (0.0,) do not match 16, 1, (0,) and (0,); the points of a
+    frozenset compare by value."""
+    if a is b or type(a) is not type(b) or a != b:
+        return a is b  # the one object matches itself at once
+    return type(a) is not tuple or all(map(_same, a, b))
+
+
 def validate_certificate(
     sg: FiniteInverseSemigroup,
     cert: Certificate,
     *,
     max_cells: int = DEFAULT_MAX_CELLS,
 ) -> None:
-    """Recheck a certificate from scratch; raises CertificateError on any gap,
-    a union past the point bound included.
-
-    Every kind rechecks, through its choices, that it may name the recorded
-    idempotents; a cited kind must record nothing more.  A witness kind
-    recomputes the union and re-verifies the witness rule; the witness must
-    fail both equations, compared on its coordinates.  One term_values orbit
-    over the union and the candidate points (_recheck_closure) then decides
-    the whole closure: the witness must lie in it and its size must match.
-    Neither closure() nor its subalgebra builder runs, so the recorded size
-    and the rechecked one come from different code over different points.
+    """Rebuild the certificate that the recheck would accept and compare;
+    CertificateError on any gap, a malformed field or a union past the point
+    bound included.  The kind's choices must hold the recorded idempotents.
+    A witness kind rebuilds its union (_union_of) and closure (one
+    term_values orbit, _recheck_closure, not closure() or its subalgebra
+    builder); its witness, the rule's point or else the closure's point
+    equal to the recorded one, must lie in the closure but not the union.
+    Then every recorded field must equal the rebuilt one, types included.
     """
-    kind = CERTIFICATE_KINDS.get(cert.kind)
+    if not isinstance(cert, Certificate):
+        raise CertificateError(f"not a certificate: {cert!r}")
+    kind = CERTIFICATE_KINDS.get(cert.kind) if type(cert.kind) is str else None
     if kind is None:
         raise CertificateError(f"unknown certificate kind {cert.kind!r}")
-    if cert.idempotents not in kind.choices(sg):
+    choices = kind.choices(sg)
+    if cert.idempotents not in choices:
         raise CertificateError(f"{cert.kind} cannot name these idempotents")
-    if kind.equations is None:
-        if any(f is not None for f in (cert.union, cert.witness, cert.closure_size, cert.exact)):
-            raise CertificateError(f"{cert.kind} is cited and records only idempotents")
-        return
-    try:
-        expected_union = _union_of(sg, kind, cert.idempotents)
-    except BoundExceededError as exc:
-        raise CertificateError(str(exc)) from None
-    if cert.union is None or cert.union.members != expected_union:
-        raise CertificateError("recorded union does not match its definition")
-    rule = kind.witness(sg, cert.idempotents)
-    if rule is not None and cert.witness != rule:
-        raise CertificateError("witness does not follow the rule of its kind")
-    w = cert.witness
-    if w is None or len(w) != kind.arity or not all(0 <= c < sg.order for c in w):
-        raise CertificateError("witness is not a point of the union's arity")
-    idem = cert.idempotents
-    if any(w[i] == (w[j] if j is not None else idem[c]) for i, j, c in kind.equations):
-        raise CertificateError("witness lies inside the union")
-    closed = _recheck_closure(sg, expected_union, kind.arity, max_cells)
-    if closed is None:
-        raise CertificateError("closure no longer exact under the given bounds")
-    if w not in closed:
-        raise CertificateError("witness is not in the closure of the union")
-    if cert.closure_size != len(closed):
-        raise CertificateError("recorded closure size does not match")
-    if cert.exact is not True:
-        raise CertificateError("witness certificates must record exact=true")
+    idem = choices[choices.index(cert.idempotents)]
+    rebuilt = (idem, None, None, None, None)
+    if kind.equations is not None:
+        try:
+            union = _union_of(sg, kind, idem)
+        except BoundExceededError as exc:
+            raise CertificateError(str(exc)) from None
+        closed = _recheck_closure(sg, union, kind.arity, max_cells)
+        if closed is None:
+            raise CertificateError("closure no longer exact under the given bounds")
+        witness = kind.witness(sg, idem) or next((p for p in closed if p == cert.witness), None)
+        if witness in union:
+            raise CertificateError("witness lies inside the union")
+        if witness not in closed:
+            raise CertificateError("witness is not in the closure of the union")
+        rebuilt = (idem, (kind.arity, union), witness, len(closed), True)
+    u = cert.union
+    recorded = (cert.idempotents, (u.arity, u.members) if type(u) is PointSet else u,
+                cert.witness, cert.closure_size, cert.exact)
+    wrong = [f for f, a, b in zip(Certificate._fields[1:], recorded, rebuilt) if not _same(a, b)]
+    if wrong:
+        raise CertificateError(f"the rebuilt certificate differs in {', '.join(wrong)}")
 
 
 def validate_verdict(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import chain, islice, product as _cartesian
+from itertools import chain, product as _cartesian
 from operator import add, getitem, itemgetter
 
 from ._value import Value
@@ -401,27 +401,27 @@ def _multipliers(semigroup, literals, length: int):
     return encode, codes, flats, times
 
 
-def term_values(semigroup, coords, excluded=()):
-    """Term-function values on coords (a nonempty list of points of one
-    arity), keyed on Y, all coordinates but the last len(excluded): each
-    vector whose Y part is new, in orbit order.  First come the generator
-    columns without repeats, the constants 0..|S|-1 then x1, x1^-1, x2,
-    x2^-1, ...; then each right product v g, with v in the order kept and g
-    in generator order.  Every flattened term is a product of these
-    literals, so right products reach every term function.  A vector is
-    encoded as _multipliers says: bytes of codes while |S| <= 256, whose
+def term_values(semigroup, coords, candidates=0, limit=None):
+    """The term-function orbit on coords (a nonempty list of points of one
+    arity), keyed on Y, all coordinates but the last candidates: returns
+    (kept, open), the vectors whose Y part was new, in orbit order, and the
+    indices 0..candidates-1 of the candidate points still open.  First come
+    the generator columns without repeats, the constants 0..|S|-1 then x1,
+    x1^-1, x2, x2^-1, ...; then each right product v g, with v in the order
+    kept and g in generator order.  Every flattened term is a product of
+    these literals, so right products reach every term function.  A vector
+    is encoded as _multipliers says: bytes of codes while |S| <= 256, whose
     codes mod |S| are the values, else a tuple of the values.  With no
     candidates every distinct vector is kept, the values on Y = coords.
 
-    The last len(excluded) coordinates are candidate points, and excluded
-    (a list of flags, one per candidate, all unset) is set where they fall
-    out: a product whose Y part was kept before with other values at some
-    open candidates sets their flags, since two term functions agree on Y
-    and differ there.  A product found before is passed over, its
-    comparison made.  The orbit stops once every flag is set.  A candidate
-    left unset lies in the closure of Y: the kept vector of each Y part
-    then fixes its value there, t|Y -> t(q) is a map, and every product of
-    a kept vector agrees with it (Bulatov, Mayr and Steindl, IJAC 2016).
+    A kept Y part met again with other values at open candidates drops
+    them from open, since two term functions agree on Y and differ there.
+    A product found before is passed over, its comparison made.  The orbit
+    stops once none is open, or once kept holds more than limit vectors,
+    open then undecided.  A candidate left open lies in the closure of Y:
+    the kept vector of each Y part then fixes its value there, t|Y -> t(q)
+    is a map, and every product of a kept vector agrees with it (Bulatov,
+    Mayr and Steindl, IJAC 2016).
 
     A vector w first kept as u c, for a constant c, is multiplied by the
     literals alone: only a vector multiplied by every generator reaches
@@ -437,11 +437,11 @@ def term_values(semigroup, coords, excluded=()):
         generators += [tuple(p[i] for p in coords), tuple(inv[p[i]] for p in coords)]
     generators = list(dict.fromkeys(generators))  # keeps the |S| constants first
     encode, right, flats, times = _multipliers(semigroup, generators[order:], len(coords))
-    y = len(coords) - len(excluded)
-    candidates = range(len(excluded))  # those still open, and their coordinates
+    y = len(coords) - candidates
+    still_open = list(range(candidates))  # and their coordinates, gathered by at
     at = _gather(tuple(range(y, len(coords))))
     seen = set()  # every product, so that a repeat costs one lookup
-    kept = {}  # the first vector of each Y part
+    parts = {}  # the first vector of each Y part
     values, by_constant = [], []
     # values and by_constant grow while they are iterated: the worklist,
     # after one batch of the roots, which count as products by constants
@@ -457,21 +457,21 @@ def term_values(semigroup, coords, excluded=()):
                 continue
             seen.add(product)
             key = product[:y]
-            first = kept.get(key)
+            first = parts.get(key)
             if first is None:
-                kept[key] = product
+                parts[key] = product
                 values.append(product)
                 by_constant.append(j < order)
-                yield product
+                if limit is not None and len(values) > limit:
+                    return values, still_open
                 continue
             before, after = at(first), at(product)
-            if before != after:  # else they differ at excluded candidates only
-                for k, a, b in zip(candidates, before, after):
-                    excluded[k] = a != b
-                candidates = [k for k in candidates if not excluded[k]]
-                if not candidates:
-                    return
-                at = _gather(tuple(y + k for k in candidates))
+            if before != after:  # else they differ at dropped candidates only
+                still_open = [k for k, a, b in zip(still_open, before, after) if a == b]
+                if not still_open:
+                    return values, still_open
+                at = _gather(tuple(y + k for k in still_open))
+    return values, still_open
 
 
 def clone_closure(semigroup, arity: int, max_cells: int = DEFAULT_MAX_CELLS) -> CloneResult:
@@ -486,7 +486,7 @@ def clone_closure(semigroup, arity: int, max_cells: int = DEFAULT_MAX_CELLS) -> 
         raise ValueError("arity must be at least 1")
     order = semigroup.order
     limit = max_cells // order ** arity
-    orbit = term_values(semigroup, list(all_points(order, arity)))
+    kept, _ = term_values(semigroup, list(all_points(order, arity)), limit=limit)
     # codes mod |S| are the values, in either encoding
-    functions = tuple(tuple(map(order.__rmod__, v)) for v in islice(orbit, limit + 1))
-    return CloneResult(functions[:limit], len(functions) <= limit, order, arity)
+    functions = tuple(tuple(map(order.__rmod__, v)) for v in kept[:limit])
+    return CloneResult(functions, len(kept) <= limit, order, arity)

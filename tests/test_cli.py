@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import eqdom
 from eqdom.cli import main
-from eqdom.geometry import CertificateError, ed_verdict
+from eqdom.geometry import CERTIFICATE_KINDS, CertificateError, ed_verdict
 
 CHAIN2_TEXT = """\
 elements e f
@@ -246,6 +246,17 @@ def test_verify_rosenblatt_reports_a_failed_revalidation(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--catalog", "chain2", "--rosenblatt")
     assert code == 1
     assert out.endswith("\nrevalidation: FAILED (forced gap)\n")
+
+
+def test_verify_reports_a_wrong_witness_rule(capsys, monkeypatch):
+    # the builder records a wrong rule's point unchecked, here (e11), which
+    # lies in the union {(e11), (e22)}: the recheck fails and verify exits 1
+    kind = CERTIFICATE_KINDS["IncomparableWitness"].replace(witness=lambda sg, ef: (0,))
+    monkeypatch.setitem(CERTIFICATE_KINDS, "IncomparableWitness", kind)
+    code, out, _ = run(capsys, "verify", "--catalog", "brandt_b2")
+    assert code == 1
+    assert "kind: IncomparableWitness\n" in out and "witness: (e11)\n" in out
+    assert out.endswith("\nrevalidation: FAILED (witness lies inside the union)\n")
 
 
 def test_verify_rechecks_the_verdict_status(capsys, monkeypatch):

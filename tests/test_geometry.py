@@ -640,7 +640,7 @@ def test_both_vector_encodings_agree_with_a_plain_orbit(make, cases):
     for ys, p in cases(sg):
         y = PointSet(len(p), frozenset(ys))
         orbit = plain_orbit(sg, ys + [p], len(p))
-        vectors = list(term_values(sg, ys + [p]))
+        vectors, _ = term_values(sg, ys + [p])
         assert isinstance(vectors[0], bytes if sg.order <= 256 else tuple)
         assert len(vectors) == len(orbit)
         b = len({v[:-1] for v in orbit})  # |B|: the orbit on Y, projected
@@ -952,17 +952,79 @@ def test_tampered_certificates_fail_revalidation():
 ], ids=["union-point", "outside-closure"])
 def test_wrong_witness_rule_fails_its_membership_facts(monkeypatch, point, recheck):
     # on brandt_b2 the union is {(e11), (e22)} and its closure adds only (0):
-    # (e11) lies in the union, (e12) outside the closure; a certificate that
-    # names the wrong rule's point fails revalidation too
-    cert = lemma4_check(BRANDT).replace(witness=point)
+    # (e11) lies in the union, (e12) outside the closure.  The builder records
+    # the wrong rule's point unchecked; revalidation is what rejects it
+    genuine = lemma4_check(BRANDT)
     kind = CERTIFICATE_KINDS["IncomparableWitness"].replace(
         witness=lambda sg, ef: point
     )
     monkeypatch.setitem(CERTIFICATE_KINDS, "IncomparableWitness", kind)
-    with pytest.raises(CertificateError, match="failed its membership facts"):
-        lemma4_check(BRANDT)
+    cert = lemma4_check(BRANDT)
+    assert cert == genuine.replace(witness=point)
+    verdict = ed_verdict(BRANDT)
+    assert verdict.certificates[1] == cert
     with pytest.raises(CertificateError, match=recheck):
         validate_certificate(BRANDT, cert)
+    with pytest.raises(CertificateError, match=recheck):
+        validate_verdict(BRANDT, verdict)
+
+
+@pytest.mark.parametrize("name, check, changes", [
+    ("chain2", rosenblatt_check, {"witness": [0, 1, 0, 1]}),
+    ("chain2", rosenblatt_check, {"witness": ("x",) * 4}),
+    ("chain2", rosenblatt_check, {"witness": (0.0, 1, 0, 1)}),
+    ("chain2", rosenblatt_check, {"witness": (False, True, False, True)}),
+    ("chain2", rosenblatt_check, {"witness": None}),
+    ("chain2", rosenblatt_check, {"union": frozenset(
+        p for p in all_points(2, 4) if p[0] == p[1] or p[2] == p[3])}),
+    ("chain2", rosenblatt_check, {"closure_size": 16.0}),
+    ("chain2", rosenblatt_check, {"kind": ["RosenblattWitness"]}),
+    ("chain2", rosenblatt_check, {"exact": 1}),
+    ("brandt_b2", lemma4_check, {"witness": [4]}),
+    ("brandt_b2", lemma4_check, {"witness": ("x",)}),
+    ("brandt_b2", lemma4_check, {"witness": (4.0,)}),
+    ("brandt_b2", lemma4_check, {"union": frozenset({(0,), (3,)})}),
+    ("brandt_b2", lemma4_check, {"union": PointSet(True, frozenset({(0,), (3,)}))}),
+    ("brandt_b2", lemma4_check, {"closure_size": 3.0}),
+    ("brandt_b2", lemma4_check, {"kind": ["IncomparableWitness"]}),
+    ("brandt_b2", lemma4_check, {"idempotents": (0.0, 3)}),
+    ("brandt_b2", lemma4_check, {"idempotents": [0, 3]}),
+    ("brandt_b2", lemma4_check, {"exact": 1}),
+    ("chain2", _cited, {"witness": (0,)}),
+    ("chain2", _cited, {"idempotents": (True,)}),
+], ids=lambda v: ",".join(f"{k}={w!r}".replace(" ", "")[:32] for k, w in v.items())
+    if isinstance(v, dict) else None)
+def test_malformed_certificates_raise_only_certificate_error(name, check, changes):
+    # chain2's Rosenblatt certificate, brandt_b2's IncomparableWitness and
+    # chain2's ZeroPresent, each with one field of the wrong shape or type:
+    # equal values of another type (16.0, True, a list) do not pass
+    sg = by_name(name)
+    cert = check(sg)
+    validate_certificate(sg, cert)
+    with pytest.raises(CertificateError):
+        validate_certificate(sg, cert.replace(**changes))
+
+
+@pytest.mark.parametrize("entry", ["junk", None, (), PointSet(1, frozenset({(0,), (3,)}))])
+def test_verdict_entries_that_are_not_certificates_fail_revalidation(entry):
+    with pytest.raises(CertificateError, match="not a certificate"):
+        validate_verdict(BRANDT, Verdict("NotED", (entry,), ()))
+
+
+def test_union_of_trusts_only_well_formed_triples():
+    # for each witness kind on every catalog entry: the kind's arity is one
+    # more than the highest coordinate its triples name, and every c indexes
+    # each idempotent tuple the kind may name
+    for sg in map(by_name, CATALOG_NAMES):
+        for name, kind in CERTIFICATE_KINDS.items():
+            if kind.equations is None:
+                continue
+            named = [k for i, j, _ in kind.equations for k in (i, j) if k is not None]
+            assert kind.arity == max(named) + 1, name
+            for i, j, c in kind.equations:
+                assert (c is None) == (j is not None), name
+                for idem in kind.choices(sg):
+                    assert c is None or 0 <= c < len(idem), (sg.label, name, idem)
 
 
 def test_revalidation_accepts_every_valid_witness_choice():
