@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from string import ascii_lowercase
 
 from .semigroup import FiniteInverseSemigroup, validate
 
 # chain names start at 'e' so the 2-chain reads {e, f} with e on top
-_CHAIN_NAMES = ascii_lowercase[ascii_lowercase.index("e"):]
+_CHAIN_NAMES = "efghijklmnopqrstuvwxyz"
 
 
 def chain_semilattice(k: int) -> FiniteInverseSemigroup:

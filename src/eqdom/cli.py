@@ -8,20 +8,20 @@ answer or failed re-validation, 2 input error, 3 unknown within bounds.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 
 from . import __version__
 from .geometry import (
     BoundExceededError,
     CertificateError,
-    Equation,
-    EquationSystem,
     PointSet,
     Unknown,
     ed_verdict,
+    equation_text,
     format_certificate,
     is_algebraic,
+    parse_equations,
+    parse_point,
     point_text,
     rosenblatt_check,
     solution_set,
@@ -37,7 +37,7 @@ from .semigroup import (
     load_semigroup,
     wagner_preston,
 )
-from .terms import DEFAULT_MAX_CELLS, _check_points, parse, term_text
+from .terms import DEFAULT_MAX_CELLS, _check_points
 
 
 def _positive_int(text: str) -> int:
@@ -126,49 +126,6 @@ def _header(args, sg, out):
     print(f"semigroup: {sg.label or 'anonymous'}", file=out)
 
 
-def _parse_point(sg, text: str) -> tuple[int, ...]:
-    inner = text.strip()
-    if inner.startswith("(") and inner.endswith(")"):
-        inner = inner[1:-1]
-    names = [nm.strip() for nm in inner.split(",")]
-    if names == [""]:
-        raise ValueError(f"empty point: {text!r}")
-    if "" in names:
-        raise ValueError(f"empty coordinate in point: {text!r}")
-    return tuple(sg.index(nm) for nm in names)
-
-
-def _parse_points(sg, texts, arity_flag):
-    if not texts:
-        raise ValueError("no points given")
-    points = [_parse_point(sg, t) for t in texts]
-    _check_points(sg, points)
-    arity = len(points[0])
-    if arity_flag is not None and arity_flag != arity:
-        raise ValueError(f"--arity {arity_flag} but the points have arity {arity}")
-    return PointSet(arity, frozenset(points))
-
-
-def _parse_equations(sg, eq_texts, arity_flag):
-    if not eq_texts:
-        raise ValueError("no equations given: use --eq 'LHS = RHS'")
-    sides = []
-    for text in eq_texts:
-        if text.count("=") != 1:
-            raise ValueError(f"equation must contain exactly one '=': {text!r}")
-        lhs, rhs = text.split("=")
-        sides.append((lhs, rhs))
-    # the largest xK the term lexer reads as a whole identifier, at least 1
-    arity = arity_flag or max(
-        [1, *(int(k) for text in eq_texts for k in re.findall(r"\bx([0-9]+)\b", text))]
-    )
-    equations = tuple(
-        Equation(parse(lhs, arity, sg), parse(rhs, arity, sg), arity)
-        for lhs, rhs in sides
-    )
-    return EquationSystem(equations)
-
-
 def cmd_info(args, sg, out) -> int:
     _header(args, sg, out)
     print(f"order: {sg.order}", file=out)
@@ -196,11 +153,9 @@ def cmd_hasse(args, sg, out) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
-        _header(args, sg, out)
-        print(f"wrote {args.dot}", file=out)
-    else:
-        _header(args, sg, out)
-        out.write(dot)
+        dot = f"wrote {args.dot}\n"
+    _header(args, sg, out)
+    out.write(dot)
     return 0
 
 
@@ -214,10 +169,12 @@ def cmd_embed(args, sg, out) -> int:
 
 
 def cmd_solve(args, sg, out) -> int:
-    system = _parse_equations(sg, args.eq, args.arity)
+    if not args.eq:
+        raise ValueError("no equations given: use --eq 'LHS = RHS'")
+    system = parse_equations(sg, args.eq, args.arity)
     _header(args, sg, out)
     for eq in system.equations:
-        print(f"system: {term_text(sg, eq.lhs)} = {term_text(sg, eq.rhs)}", file=out)
+        print(f"system: {equation_text(sg, eq)}", file=out)
     print(f"arity: {system.arity}", file=out)
     try:
         solutions = solution_set(sg, system)
@@ -231,7 +188,14 @@ def cmd_solve(args, sg, out) -> int:
 
 
 def cmd_closure(args, sg, out) -> int:
-    pts = _parse_points(sg, args.points, args.arity)
+    if not args.points:
+        raise ValueError("no points given")
+    points = [parse_point(sg, t) for t in args.points]
+    _check_points(sg, points)
+    arity = len(points[0])
+    if args.arity is not None and args.arity != arity:
+        raise ValueError(f"--arity {args.arity} but the points have arity {arity}")
+    pts = PointSet(arity, frozenset(points))
     _header(args, sg, out)
     print(f"arity: {pts.arity}", file=out)
     print(f"input: {', '.join(point_text(sg, p) for p in pts.sorted_members())}", file=out)

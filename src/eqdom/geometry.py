@@ -8,9 +8,9 @@ algebraic; the checks below exhibit and re-verify an explicit witness point).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import chain, combinations, compress, product as _cartesian, repeat
 from operator import eq as equal, itemgetter, or_
-from typing import Callable
 
 from ._value import Value
 from .semigroup import (
@@ -22,12 +22,16 @@ from .semigroup import (
 )
 from .terms import (
     DEFAULT_MAX_CELLS,
+    _IDENT,
+    _VARIABLE,
     Term,
     _check_points,
     _gather,
     _multipliers,
     _values_at,
     all_points,
+    parse,
+    term_text,
     term_values,
     variables_of,
 )
@@ -88,6 +92,28 @@ class EquationSystem(Value):
         return self.equations[0].arity
 
 
+def equation_text(sg: FiniteInverseSemigroup, eq: Equation) -> str:
+    """An equation as 'LHS = RHS', each side as term_text renders it."""
+    return f"{term_text(sg, eq.lhs)} = {term_text(sg, eq.rhs)}"
+
+
+def parse_equations(sg: FiniteInverseSemigroup, texts, arity: int | None = None) -> EquationSystem:
+    """The system of texts, each 'LHS = RHS' with both sides read by parse,
+    at the given arity or else the largest K of the variables xK, at least
+    1.  ValueError for an equation with other than one '=', all checked
+    before any side is parsed; then the first side's ParseError."""
+    sides = []
+    for text in texts:
+        if text.count("=") != 1:
+            raise ValueError(f"equation must contain exactly one '=': {text!r}")
+        sides.append(text.split("="))
+    if arity is None:  # the identifiers as the term lexer reads them
+        found = map(_VARIABLE.match, _IDENT.findall(" ".join(chain.from_iterable(sides))))
+        arity = max([1, *(int(m[1]) for m in found if m)])
+    return EquationSystem(tuple(
+        Equation(parse(lhs, arity, sg), parse(rhs, arity, sg), arity) for lhs, rhs in sides))
+
+
 class PointSet(Value):
     arity: int
     members: frozenset[tuple[int, ...]]
@@ -104,6 +130,21 @@ class PointSet(Value):
 def point_text(sg: FiniteInverseSemigroup, p: tuple[int, ...]) -> str:
     """A point as element names, e.g. '(e,f)'."""
     return "(" + ",".join(sg.names[i] for i in p) + ")"
+
+
+def parse_point(sg: FiniteInverseSemigroup, text: str) -> tuple[int, ...]:
+    """The point that point_text prints as text, which may also drop the
+    parentheses or space its names.  ValueError for an empty point or
+    coordinate, SemigroupError for a name that is not an element."""
+    inner = text.strip()
+    if inner.startswith("(") and inner.endswith(")"):
+        inner = inner[1:-1]
+    names = [nm.strip() for nm in inner.split(",")]
+    if names == [""]:
+        raise ValueError(f"empty point: {text!r}")
+    if "" in names:
+        raise ValueError(f"empty coordinate in point: {text!r}")
+    return tuple(map(sg.index, names))
 
 
 def solution_set(sg: FiniteInverseSemigroup, system: EquationSystem) -> PointSet:
@@ -583,7 +624,8 @@ def validate_certificate(
     term_values orbit, _recheck_closure, not closure() or its subalgebra
     builder); its witness, the rule's point or else the closure's point
     equal to the recorded one, must lie in the closure but not the union.
-    Then every recorded field must equal the rebuilt one, types included.
+    Then every recorded field must equal the rebuilt one, types included
+    (the union's coordinates must all be int).
     """
     if not isinstance(cert, Certificate):
         raise CertificateError(f"not a certificate: {cert!r}")
@@ -608,10 +650,11 @@ def validate_certificate(
             raise CertificateError("witness lies inside the union")
         if witness not in closed:
             raise CertificateError("witness is not in the closure of the union")
-        rebuilt = (idem, (kind.arity, union), witness, len(closed), True)
+        rebuilt = (idem, (kind.arity, union, {int}), witness, len(closed), True)
     u = cert.union
-    recorded = (cert.idempotents, (u.arity, u.members) if type(u) is PointSet else u,
-                cert.witness, cert.closure_size, cert.exact)
+    if type(u) is PointSet:  # its frozenset compares points by value; add their types
+        u = (u.arity, u.members, {*map(type, chain.from_iterable(u.members))})
+    recorded = (cert.idempotents, u, cert.witness, cert.closure_size, cert.exact)
     wrong = [f for f, a, b in zip(Certificate._fields[1:], recorded, rebuilt) if not _same(a, b)]
     if wrong:
         raise CertificateError(f"the rebuilt certificate differs in {', '.join(wrong)}")

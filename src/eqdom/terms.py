@@ -10,7 +10,7 @@ and adjacent constants fuse through the Cayley table.
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, product as _cartesian
 from operator import add, getitem, itemgetter
 
@@ -133,10 +133,7 @@ def _parse_product(tokens, at, arity, semigroup, depth):
     if not factors:
         pos = tokens[at][2] if at < len(tokens) else 0
         raise ParseError("empty product is not a term", pos)
-    term = factors[0]
-    for f in factors[1:]:
-        term = Product(term, f)
-    return term, size, at
+    return reduce(Product, factors), size, at
 
 
 def _parse_factor(tokens, at, arity, semigroup, depth):
@@ -144,10 +141,9 @@ def _parse_factor(tokens, at, arity, semigroup, depth):
     if kind == "(":
         if depth >= MAX_TERM_SIZE:
             raise ParseError(f"parentheses nested deeper than {MAX_TERM_SIZE}", pos)
-        inner, size, at = _parse_product(tokens, at + 1, arity, semigroup, depth + 1)
+        atom, size, at = _parse_product(tokens, at + 1, arity, semigroup, depth + 1)
         if at >= len(tokens) or tokens[at][0] != ")":
             raise ParseError("unclosed parenthesis", pos)
-        atom = inner
         at += 1
     elif kind == "ident":
         atom = _resolve(value, arity, semigroup, pos)
@@ -163,10 +159,7 @@ def _parse_factor(tokens, at, arity, semigroup, depth):
         if size > MAX_TERM_SIZE:
             raise ParseError(f"term has more than {MAX_TERM_SIZE} literals", tokens[at][2])
         base = atom if k > 0 else Inverse(atom)
-        term = base
-        for _ in range(abs(k) - 1):
-            term = Product(term, base)
-        return term, size, at + 1
+        return reduce(Product, [base] * abs(k)), size, at + 1
     return atom, size, at
 
 

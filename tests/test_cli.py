@@ -363,6 +363,12 @@ def test_equation_text_errors(capsys):
     assert code == 2 and "empty input" in err
     code, _, err = run(capsys, "solve", "--catalog", "chain2", "--eq", "x1 = (e")
     assert code == 2 and "unclosed" in err
+    # every '=' count is checked before any side is parsed
+    code, out, err = run(
+        capsys, "solve", "--catalog", "chain2", "--eq", "x1 = (e", "--eq", "x1 x1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: equation must contain exactly one '=': 'x1 x1'\n"
     code, _, err = run(
         capsys, "solve", "--catalog", "chain2", "--arity", "1", "--eq", "x2 = e"
     )
@@ -463,6 +469,21 @@ def test_import_loads_no_numpy_and_no_goodterms():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout == "[]\nFalse\n[]\n"
+
+
+def test_bare_interpreter_import_loads_no_typing_and_no_string():
+    # without site, which loads typing on many installs, eqdom alone decides:
+    # it needs neither typing (4-6 ms of import) nor string
+    src = str(Path(eqdom.__file__).resolve().parents[1])
+    code = (
+        "import sys, eqdom, eqdom.cli; "
+        "print([m for m in ('typing', 'string') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"
 
 
 def test_python_dash_m_runs_main(capsys):

@@ -31,11 +31,15 @@ from eqdom.geometry import (
     Verdict,
     closure,
     ed_verdict,
+    equation_text,
     format_certificate,
     in_subpower_closure,
     is_algebraic,
     lemma4_check,
     lemma5_check,
+    parse_equations,
+    parse_point,
+    point_text,
     rosenblatt_check,
     solution_set,
     validate_certificate,
@@ -977,6 +981,9 @@ def test_wrong_witness_rule_fails_its_membership_facts(monkeypatch, point, reche
     ("chain2", rosenblatt_check, {"witness": None}),
     ("chain2", rosenblatt_check, {"union": frozenset(
         p for p in all_points(2, 4) if p[0] == p[1] or p[2] == p[3])}),
+    ("chain2", rosenblatt_check, {"union": PointSet(4, frozenset(
+        (0.0, 0, 0, 0) if p == (0, 0, 0, 0) else p
+        for p in all_points(2, 4) if p[0] == p[1] or p[2] == p[3]))}),
     ("chain2", rosenblatt_check, {"closure_size": 16.0}),
     ("chain2", rosenblatt_check, {"kind": ["RosenblattWitness"]}),
     ("chain2", rosenblatt_check, {"exact": 1}),
@@ -985,6 +992,8 @@ def test_wrong_witness_rule_fails_its_membership_facts(monkeypatch, point, reche
     ("brandt_b2", lemma4_check, {"witness": (4.0,)}),
     ("brandt_b2", lemma4_check, {"union": frozenset({(0,), (3,)})}),
     ("brandt_b2", lemma4_check, {"union": PointSet(True, frozenset({(0,), (3,)}))}),
+    ("brandt_b2", lemma4_check, {"union": PointSet(1, frozenset({(0.0,), (3,)}))}),
+    ("brandt_b2", lemma4_check, {"union": PointSet(1, frozenset({(False,), (3,)}))}),
     ("brandt_b2", lemma4_check, {"closure_size": 3.0}),
     ("brandt_b2", lemma4_check, {"kind": ["IncomparableWitness"]}),
     ("brandt_b2", lemma4_check, {"idempotents": (0.0, 3)}),
@@ -997,11 +1006,12 @@ def test_wrong_witness_rule_fails_its_membership_facts(monkeypatch, point, reche
 def test_malformed_certificates_raise_only_certificate_error(name, check, changes):
     # chain2's Rosenblatt certificate, brandt_b2's IncomparableWitness and
     # chain2's ZeroPresent, each with one field of the wrong shape or type:
-    # equal values of another type (16.0, True, a list) do not pass
+    # equal values of another type (16.0, True, a list, a float or bool
+    # coordinate of a union point) do not pass, and a bad union is named
     sg = by_name(name)
     cert = check(sg)
     validate_certificate(sg, cert)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="union" if "union" in changes else None):
         validate_certificate(sg, cert.replace(**changes))
 
 
@@ -1096,3 +1106,77 @@ def test_every_catalog_name_loads_and_gets_a_verdict():
         v = ed_verdict(by_name(name))
         assert v.status in ("GroupOutOfScope", "NotED")
         assert v.certified
+
+
+def test_parse_point_reads_back_point_text():
+    # every point of each catalog entry of order at most 7 at arities 1 and
+    # 2, and of sim3 at arity 1
+    cases = [(sg, arity) for sg in map(by_name, CATALOG_NAMES) if sg.order <= 7
+             for arity in (1, 2)]
+    cases.append((by_name("sim3"), 1))
+    assert len(cases) == 19
+    for sg, arity in cases:
+        for p in all_points(sg.order, arity):
+            assert parse_point(sg, point_text(sg, p)) == p, (sg.label, p)
+
+
+def test_parse_point_takes_bare_and_spaced_forms():
+    for text in ("(e,f)", "e,f", "( e , f )", " (e, f) "):
+        assert parse_point(C2, text) == (0, 1)
+    for text in ("(e)", "e", "( e )"):
+        assert parse_point(C2, text) == (0,)
+    for text, message in (
+        ("()", "empty point: '()'"),
+        ("  ", "empty point: '  '"),
+        ("(e,,f)", "empty coordinate in point: '(e,,f)'"),
+        ("(e,)", "empty coordinate in point: '(e,)'"),
+        ("(g)", "unknown element name: 'g'"),
+        ("((e))", "unknown element name: '(e)'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse_point(C2, text)
+        assert str(info.value) == message
+
+
+# the inferred arity, as the old command-line regex \bx([0-9]+)\b found it
+# on ASCII text: the largest K of an identifier xK, at least 1
+@pytest.mark.parametrize("text, arity", [
+    ("x01 = x01", 1), ("ax1 = e", 1), ("x1_ = e", 1), ("x0 = e", 1), ("x1^-2 = e", 1),
+    ("(x3 x1)^2 = e", 3),
+    # the exponent's digits run into x3, so no identifier x3 is read here,
+    # though the lexer itself would read e ^2 x3
+    ("e^2x3 = e", 1),
+    # the lexer's identifiers are ASCII runs, so x2 is one beside a
+    # non-ASCII letter; that side fails to lex, so only an earlier side's
+    # message can show the arity
+    ("éx2 = e", 2),
+])
+def test_parse_equations_infers_the_arity(text, arity):
+    # an earlier equation with x0 reports the inferred arity
+    with pytest.raises(ParseError) as info:
+        parse_equations(C2, ["x0 = e", text])
+    assert str(info.value) == f"variable x0 out of range for arity {arity} (at position 0)"
+
+
+def test_parse_equations_checks_every_equal_sign_first():
+    for texts in (["x1 = (e", "x1 x1"], ["x0 = e", "e = e = e"], ["x1 = e", "x1"]):
+        with pytest.raises(ValueError) as info:
+            parse_equations(C2, texts)
+        assert str(info.value) == f"equation must contain exactly one '=': {texts[1]!r}"
+    with pytest.raises(ValueError, match="a system needs at least one equation"):
+        parse_equations(C2, [])
+    # a given arity is used as it is
+    assert parse_equations(C2, ["x1 = e"], 3).arity == 3
+    with pytest.raises(ParseError, match="variable x2 out of range for arity 1"):
+        parse_equations(C2, ["x2 = e"], 1)
+    assert [parse_equations(C2, [t]).arity for t in ("x01 = x01", "(x3 x1)^2 = e")] == [1, 3]
+
+
+def test_equation_text_reads_back_through_parse_equations():
+    sg = by_name("sim2")
+    system = parse_equations(sg, ["(x1 1_ x2)^-1 _1 2_ = 12 x2^-1 x1^-1", "x3 = x3"])
+    texts = [equation_text(sg, eq) for eq in system.equations]
+    assert texts == ["x2^-1 1_ x1^-1 _2 = 12 x2^-1 x1^-1", "x3 = x3"]
+    again = parse_equations(sg, texts, system.arity)
+    assert [equation_text(sg, eq) for eq in again.equations] == texts
+    assert solution_set(sg, again) == solution_set(sg, system)
